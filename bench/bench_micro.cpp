@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the hot datapath pieces: the
 // Myrinet CRC-8 (recomputed per hop per byte), the FC CRC-32, the 8b/10b
 // codec (one invocation per transmitted character), the FIFO injector's
-// per-character clock, and the UDP one's-complement checksum.
+// per-character clock, the UDP one's-complement checksum, and the event
+// queue under a campaign-shaped schedule/cancel/pop mix.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -11,6 +12,8 @@
 #include "fc/enc8b10b.hpp"
 #include "host/udp.hpp"
 #include "myrinet/crc8.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/rng.hpp"
 
 namespace {
 
@@ -103,6 +106,66 @@ void BM_UdpChecksum(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_UdpChecksum)->Arg(64)->Arg(1472);
+
+void BM_EventQueueMix(benchmark::State& state) {
+  // One iteration is one event: pop the front, advance the clock, and
+  // schedule its successor, so the reported time is the kernel's ns per
+  // event. Delays follow the spread measured on the bisect_fork workload:
+  // 5% at now, ~42% under 33 ns, ~34% at 65-524 ns, ~19% near 1 us, and
+  // 0.1% that also arm a 50 ms timeout, nine in ten of which are cancelled
+  // on the next event (the switch long-timeout pattern). ~121 events stay
+  // pending, as on that workload. Draws are precomputed so the loop times
+  // the queue, not the generator.
+  using hsfi::sim::Duration;
+  using hsfi::sim::EventId;
+  using hsfi::sim::EventQueue;
+  using hsfi::sim::SimTime;
+  constexpr std::size_t kDraws = 4096;
+  constexpr Duration kArmTimeout = -1;  // marker in the delay table
+  hsfi::sim::Rng rng(1);
+  std::vector<Duration> delays(kDraws);
+  std::vector<bool> cancel_timeout(kDraws);
+  for (std::size_t i = 0; i < kDraws; ++i) {
+    const double u = rng.uniform();
+    delays[i] = u < 0.05    ? 0
+                : u < 0.47  ? rng.range(1, 32'999)
+                : u < 0.81  ? rng.range(65'000, 524'000)
+                : u < 0.999 ? rng.range(950'000, 1'050'000)
+                            : kArmTimeout;
+    cancel_timeout[i] = rng.chance(0.9);
+  }
+
+  EventQueue queue;
+  for (std::size_t i = 0; i < 121; ++i) {
+    queue.schedule(delays[i] > 0 ? delays[i] : 1, [] {});
+  }
+  std::size_t k = 0;
+  EventId timeout = hsfi::sim::kInvalidEventId;
+  bool timeout_fired = false;  // an uncancelled timeout has no successor
+  for (auto _ : state) {
+    auto fired = queue.pop();
+    const SimTime now = fired.when;
+    fired.action();
+    if (timeout_fired) {
+      timeout_fired = false;
+      continue;
+    }
+    if (timeout != hsfi::sim::kInvalidEventId) {
+      if (cancel_timeout[k % kDraws]) queue.cancel(timeout);
+      timeout = hsfi::sim::kInvalidEventId;
+    }
+    Duration delay = delays[k++ % kDraws];
+    if (delay == kArmTimeout) {
+      timeout = queue.schedule(now + 50'000'000'000,
+                               [&timeout_fired] { timeout_fired = true; });
+      delay = 1'000'000;
+    }
+    queue.schedule(now + delay, [] {});
+  }
+  state.counters["events/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_EventQueueMix);
 
 }  // namespace
 

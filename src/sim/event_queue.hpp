@@ -5,14 +5,20 @@
 // function of its inputs and seeds.
 //
 // Internals (DESIGN.md "Kernel internals"): actions live in generation-
-// stamped slots; the heap orders 24-byte trivially-copyable entries
-// {when, seq, slot, gen}. Cancellation bumps the slot's generation — O(1),
-// no hash lookup — and stale heap entries (whose stamped generation no
-// longer matches the slot) are discarded lazily when they surface at the
-// front. Slots are recycled through an intrusive freelist, so steady-state
-// scheduling allocates nothing.
+// stamped slots that never move. A two-tier calendar orders them. The near
+// tier is a timing wheel of kBuckets buckets, each 2^kBucketShift ps wide,
+// covering the buckets [cursor, cursor + kBuckets); a bucket is an intrusive
+// doubly-linked list threaded through the slots and kept sorted by
+// (when, seq), so the near future is scheduled, cancelled and popped in
+// O(1). The far tier is a binary heap of 24-byte entries {when, seq, slot,
+// gen} for everything beyond the wheel's horizon. Cancellation unlinks a
+// wheel slot eagerly; a far-heap entry goes stale instead (its stamped
+// generation no longer matches the slot) and is dropped when it surfaces
+// or when stale entries outnumber live ones. Slots are recycled through an
+// intrusive freelist, so steady-state scheduling allocates nothing.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -33,9 +39,13 @@ class EventQueue {
  public:
   using Action = sim::Action;
 
-  /// Heap entry: trivially copyable so heap sifts are plain 24-byte moves
-  /// (the action itself never moves once parked in its slot). Public only
-  /// because Snapshot carries the heap verbatim.
+  /// Wheel geometry: 256 buckets of 8.192 ns, a horizon of ~2.1 us. One
+  /// bucket is just under one Myrinet character time.
+  static constexpr int kBucketShift = 13;
+  static constexpr std::uint32_t kBuckets = 256;
+
+  /// A pending event's ordering key and identity: the far heap's element
+  /// type, and the form Snapshot stores live events in.
   struct Entry {
     SimTime when;
     std::uint64_t seq;
@@ -46,15 +56,15 @@ class EventQueue {
   /// Schedules `action` at absolute time `when` and returns its id.
   EventId schedule(SimTime when, Action action);
 
-  /// Cancels a pending event in O(1). Cancelling an already-fired,
-  /// already-cancelled, or invalid id is a no-op.
+  /// Cancels a pending event in O(1) amortized. Cancelling an already-
+  /// fired, already-cancelled, or invalid id is a no-op.
   void cancel(EventId id);
 
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return live_; }
 
   /// Time of the earliest live event. Precondition: !empty().
-  [[nodiscard]] SimTime next_time();
+  [[nodiscard]] SimTime next_time() { return slots_[locate()].when; }
 
   struct Fired {
     SimTime when = 0;
@@ -69,27 +79,33 @@ class EventQueue {
   /// Removes and returns the earliest live event. Precondition: !empty().
   Fired pop();
 
-  /// Full queue state at a point in time: heap order, slot generations, the
-  /// freelist chain, the tie-break counter, and a deep copy of every parked
-  /// action. Restoring it into a queue replays the identical
-  /// (when, seq, slot, gen) pop order. Move-only (actions are), and
-  /// restorable any number of times.
+  /// Removes the earliest live event into `out` if it is due at or before
+  /// `until` and returns true; otherwise leaves the queue untouched and
+  /// returns false. Finds the front once, where next_time() followed by
+  /// pop() would find it twice. Precondition: !empty().
+  bool pop_due(SimTime until, Fired& out);
+
+  /// Queue state at a point in time: every live event, slot generations,
+  /// the freelist chain, the tie-break counter, the wheel cursor, and a
+  /// deep copy of every pending action. Restoring it into a queue replays
+  /// the identical (when, seq, slot, gen) pop order. Move-only (actions
+  /// are), and restorable any number of times.
   struct Snapshot {
     struct SlotState {
       Action action;  ///< empty for retired slots
       std::uint32_t gen = 1;
       std::uint32_t next_free = 0xFFFFFFFFu;
     };
-    std::vector<Entry> heap;
+    std::vector<Entry> entries;  ///< live events only, in (when, seq) order
     std::vector<SlotState> slots;
     std::uint32_t free_head = 0xFFFFFFFFu;
-    std::size_t live = 0;
     std::uint64_t next_seq = 1;
+    std::int64_t cursor = 0;
   };
 
-  /// Captures the queue verbatim. Throws std::logic_error if any pending
-  /// action holds a move-only callable (see Action::clonable) — kernel
-  /// events are expected to capture pointers and copyable values only.
+  /// Captures the queue. Throws std::logic_error if any pending action
+  /// holds a move-only callable (see Action::clonable) — kernel events are
+  /// expected to capture pointers and copyable values only.
   [[nodiscard]] Snapshot snapshot() const;
 
   /// Rewinds the queue to `snap` (deep-copying its actions, so the same
@@ -100,36 +116,76 @@ class EventQueue {
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// Slot::where values beyond the wheel bucket indices.
+  static constexpr std::uint32_t kInFar = kBuckets;
+  static constexpr std::uint32_t kRetired = kBuckets + 1;
+  static constexpr std::uint32_t kMask = kBuckets - 1;
+  static constexpr std::uint32_t kWords = kBuckets / 64;
 
   struct Slot {
     Action action;
+    SimTime when = 0;
+    std::uint64_t seq = 0;
+    std::uint32_t prev = kNoSlot;
+    /// Next slot in the bucket while in the wheel; next free slot while
+    /// retired.
+    std::uint32_t next = kNoSlot;
     std::uint32_t gen = 1;
-    std::uint32_t next_free = kNoSlot;
+    std::uint32_t where = kRetired;  ///< bucket index, kInFar or kRetired
   };
 
-  static bool later(const Entry& a, const Entry& b) noexcept {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
+  static bool later(SimTime a_when, std::uint64_t a_seq, SimTime b_when,
+                    std::uint64_t b_seq) noexcept {
+    if (a_when != b_when) return a_when > b_when;
+    return a_seq > b_seq;
+  }
+  static bool far_later(const Entry& a, const Entry& b) noexcept {
+    return later(a.when, a.seq, b.when, b.seq);
   }
 
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) noexcept {
     return (static_cast<EventId>(slot) << 32) | gen;
   }
 
+  /// Files a slot holding `when`/`seq` into the wheel if its bucket lies in
+  /// [cursor, cursor + kBuckets), else into the far heap.
+  void place(std::uint32_t slot_index);
+  void unlink(std::uint32_t slot_index) noexcept;
+
+  /// Slot of the earliest live event: the smaller of the first occupied
+  /// wheel bucket's head and the far heap's top (stale tops are dropped
+  /// first). Precondition: !empty().
+  std::uint32_t locate();
+
+  /// Moves the event in `slot_index` (as returned by locate()) into `out`
+  /// and advances the cursor to its bucket.
+  void take(std::uint32_t slot_index, Fired& out);
+
   /// Retires a slot after its event fired or was cancelled: bumps the
   /// generation (skipping 0, the invalid marker) and chains it on the
   /// freelist.
   void retire(std::uint32_t slot_index) noexcept;
 
-  /// Pops entries whose generation stamp no longer matches their slot
-  /// (cancelled events) off the front of the heap.
-  void drop_stale_front();
+  /// Drops every stale far-heap entry and re-heapifies the rest.
+  void compact_far();
 
-  std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
-  std::size_t live_ = 0;        ///< scheduled and not yet fired/cancelled
+  std::size_t live_ = 0;  ///< scheduled and not yet fired/cancelled
   std::uint64_t next_seq_ = 1;
+
+  /// Absolute bucket number (when >> kBucketShift) of the most recent pop;
+  /// never decreases, and every wheel event lies in
+  /// [cursor_, cursor_ + kBuckets).
+  std::int64_t cursor_ = 0;
+  /// First and last slot of each bucket; meaningful only while the bucket's
+  /// occupied_ bit is set.
+  std::array<std::uint32_t, kBuckets> head_{};
+  std::array<std::uint32_t, kBuckets> tail_{};
+  std::array<std::uint64_t, kWords> occupied_{};  ///< bit i: bucket i nonempty
+
+  std::vector<Entry> far_;     ///< min-heap by (when, seq), may hold stale
+  std::size_t far_stale_ = 0;  ///< stale entries in far_
 };
 
 }  // namespace hsfi::sim

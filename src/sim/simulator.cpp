@@ -4,11 +4,11 @@ namespace hsfi::sim {
 
 bool Simulator::step(SimTime until) {
   if (queue_.empty()) return false;
-  if (queue_.next_time() > until) {
+  EventQueue::Fired fired;
+  if (!queue_.pop_due(until, fired)) {
     now_ = until;
     return false;
   }
-  auto fired = queue_.pop();
   now_ = fired.when;
   ++executed_;
   if (observer_) observer_(fired.when, executed_, fired.seq);

@@ -119,6 +119,23 @@ TEST(EventQueueTest, CancelInvalidIdIsNoOp) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(EventQueueTest, SnapshotHoldsOnlyLiveEventsAfterCancelHeavyTraffic) {
+  // The switch long-timeout pattern: each packet arms a 50 ms timeout and
+  // cancels it when the packet moves on. A snapshot must carry exactly the
+  // pending events, not the cancelled timeouts.
+  EventQueue q;
+  SimTime now = 0;
+  for (int packet = 0; packet < 5000; ++packet) {
+    q.schedule(now + nanoseconds(100), [] {});
+    const EventId timeout = q.schedule(now + milliseconds(50), [] {});
+    if (packet % 50 != 0) q.cancel(timeout);
+    now = q.pop().when;
+  }
+  const EventQueue::Snapshot snap = q.snapshot();
+  EXPECT_EQ(q.size(), 100u);
+  EXPECT_EQ(snap.entries.size(), q.size());
+}
+
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
   Simulator s;
   SimTime seen = -1;
