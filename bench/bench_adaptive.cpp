@@ -48,10 +48,14 @@ BenchResult run_once(std::size_t cell_count, double tolerance) {
   adaptive::AdaptiveSpec spec;
   spec.name = "bench_adaptive";
   spec.faults = {
-      {"gap-go", nftape::control_symbol_corruption(myrinet::ControlSymbol::kGap,
-                                                   myrinet::ControlSymbol::kGo)},
-      {"stop-go", nftape::control_symbol_corruption(
-                      myrinet::ControlSymbol::kStop, myrinet::ControlSymbol::kGo)},
+      {"gap-go",
+       nftape::control_symbol_corruption(myrinet::ControlSymbol::kGap,
+                                         myrinet::ControlSymbol::kGo),
+       {}},
+      {"stop-go",
+       nftape::control_symbol_corruption(myrinet::ControlSymbol::kStop,
+                                         myrinet::ControlSymbol::kGo),
+       {}},
   };
   spec.directions = {orchestrator::FaultDirection::kFromSwitch,
                      orchestrator::FaultDirection::kBoth};

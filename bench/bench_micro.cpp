@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks for the hot datapath pieces: the
 // Myrinet CRC-8 (recomputed per hop per byte), the FC CRC-32, the 8b/10b
 // codec (one invocation per transmitted character), the FIFO injector's
-// per-character clock, the UDP one's-complement checksum, and the event
-// queue under a campaign-shaped schedule/cancel/pop mix.
+// per-character clock, the UDP one's-complement checksum, the event
+// queue under a campaign-shaped schedule/cancel/pop mix, and the SoA view
+// every delivered burst derives from its symbols.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -11,6 +12,7 @@
 #include "fc/crc32.hpp"
 #include "fc/enc8b10b.hpp"
 #include "host/udp.hpp"
+#include "link/channel.hpp"
 #include "myrinet/crc8.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
@@ -41,7 +43,7 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(64)->Arg(2048);
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(256)->Arg(2048);
 
 void BM_Encode8b10b(benchmark::State& state) {
   auto rd = hsfi::fc::Disparity::kMinus;
@@ -166,6 +168,29 @@ void BM_EventQueueMix(benchmark::State& state) {
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_EventQueueMix);
+
+// Burst::build_view on a burst of range(0) symbols, one in eight a control
+// character. Arg 1 is the injector's drain-tick burst; 2048 a long FC frame
+// run. The view storage is reused across iterations, as the channel reuses
+// its scratch.
+void BM_BurstView(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  hsfi::link::Burst burst;
+  hsfi::sim::Rng rng(11);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto bits = rng.next_u64();
+    burst.symbols.push_back(hsfi::link::Symbol{
+        static_cast<std::uint8_t>(bits), (bits >> 8) % 8 == 0});
+  }
+  for (auto _ : state) {
+    burst.build_view();
+    benchmark::DoNotOptimize(burst.ctl.data());
+    benchmark::DoNotOptimize(burst.data.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_BurstView)->Arg(1)->Arg(4)->Arg(64)->Arg(2048);
 
 }  // namespace
 

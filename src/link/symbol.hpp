@@ -6,8 +6,10 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace hsfi::link {
@@ -18,6 +20,13 @@ struct Symbol {
 
   friend constexpr auto operator<=>(const Symbol&, const Symbol&) = default;
 };
+
+// Burst::build_view reads a Symbol array as interleaved (data, control) byte
+// pairs, 16 symbols per vector step; these pin the layout it relies on.
+static_assert(sizeof(Symbol) == 2);
+static_assert(offsetof(Symbol, data) == 0);
+static_assert(offsetof(Symbol, control) == 1);
+static_assert(std::is_trivially_copyable_v<Symbol>);
 
 constexpr Symbol data_symbol(std::uint8_t b) noexcept { return Symbol{b, false}; }
 constexpr Symbol control_symbol(std::uint8_t b) noexcept { return Symbol{b, true}; }

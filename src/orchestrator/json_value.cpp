@@ -234,7 +234,7 @@ bool JsonValue::as_double(double& out) const noexcept {
 
 std::optional<JsonValue> parse_json(std::string_view text,
                                     std::string* error) {
-  Parser p{text};
+  Parser p{text, 0, {}};
   JsonValue root;
   if (!p.parse_value(root, 0)) {
     if (error != nullptr) *error = p.error;

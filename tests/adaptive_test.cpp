@@ -414,9 +414,11 @@ AdaptiveSpec controller_spec() {
   AdaptiveSpec spec;
   spec.name = "determinism";
   spec.faults = {
-      {"gap-go", nftape::control_symbol_corruption(ControlSymbol::kGap,
-                                                   ControlSymbol::kGo)},
-      {"seu", nftape::random_bit_flip_seu(0x00FF)},
+      {"gap-go",
+       nftape::control_symbol_corruption(ControlSymbol::kGap,
+                                         ControlSymbol::kGo),
+       {}},
+      {"seu", nftape::random_bit_flip_seu(0x00FF), {}},
   };
   spec.directions = {orchestrator::FaultDirection::kFromSwitch,
                      orchestrator::FaultDirection::kBoth};

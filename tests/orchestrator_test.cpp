@@ -42,9 +42,11 @@ SweepSpec small_sweep() {
   sweep.base.drain = milliseconds(5);
   sweep.base.workload.udp_interval = microseconds(200);
   sweep.faults = {
-      {"baseline", std::nullopt},
-      {"gap-go", nftape::control_symbol_corruption(ControlSymbol::kGap,
-                                                   ControlSymbol::kGo)},
+      {"baseline", std::nullopt, {}},
+      {"gap-go",
+       nftape::control_symbol_corruption(ControlSymbol::kGap,
+                                         ControlSymbol::kGo),
+       {}},
   };
   sweep.directions = {FaultDirection::kToSwitch};
   sweep.replicates = 2;
@@ -62,7 +64,7 @@ std::vector<std::string> sorted_jsonl(const std::vector<RunRecord>& records) {
 TEST(SweepTest, ExpandsFullGridWithDerivedSeeds) {
   SweepSpec sweep;
   sweep.base_seed = 7;
-  sweep.faults = {{"a", std::nullopt}, {"b", core::InjectorConfig{}}};
+  sweep.faults = {{"a", std::nullopt, {}}, {"b", core::InjectorConfig{}, {}}};
   sweep.directions = {FaultDirection::kToSwitch, FaultDirection::kFromSwitch,
                       FaultDirection::kBoth};
   sweep.intensities = {{"lo", microseconds(500), 1, 64},
@@ -219,7 +221,7 @@ TEST(RunnerTest, FaultySweepRunsSeeCampaignEffects) {
 
 TEST(RunnerTest, WatchdogCancelsHungRunAndRetriesExactlyOnce) {
   auto sweep = small_sweep();
-  sweep.faults = {{"baseline", std::nullopt}};
+  sweep.faults = {{"baseline", std::nullopt, {}}};
   sweep.replicates = 3;
   const auto runs = expand(sweep);
   ASSERT_EQ(runs.size(), 3u);
@@ -255,7 +257,7 @@ TEST(RunnerTest, WatchdogCancelsHungRunAndRetriesExactlyOnce) {
 
 TEST(RunnerTest, PermanentlyHungRunEndsTimedOutAfterOneRetry) {
   auto sweep = small_sweep();
-  sweep.faults = {{"baseline", std::nullopt}};
+  sweep.faults = {{"baseline", std::nullopt, {}}};
   sweep.replicates = 1;
   RunnerConfig rc;
   rc.workers = 1;
@@ -282,7 +284,7 @@ TEST(RunnerTest, SimulatedTimeCapCancelsARealCampaign) {
   // Exercise the real chunked-settle path in CampaignRunner: a cap far
   // below the run's span must cancel during simulation, not after.
   auto sweep = small_sweep();
-  sweep.faults = {{"baseline", std::nullopt}};
+  sweep.faults = {{"baseline", std::nullopt, {}}};
   sweep.replicates = 1;
   RunnerConfig rc;
   rc.workers = 1;
@@ -303,7 +305,7 @@ TEST(RunnerTest, WatchdogBudgetSpansSettleAndCampaignPhases) {
   // cap 100 ms) but their sum does not: with one threaded accumulator the
   // run must time out; with per-phase budgets it would complete.
   auto sweep = small_sweep();
-  sweep.faults = {{"baseline", std::nullopt}};
+  sweep.faults = {{"baseline", std::nullopt, {}}};
   sweep.replicates = 1;
   sweep.startup_settle = milliseconds(60);
   sweep.base.warmup = milliseconds(2);
@@ -343,7 +345,7 @@ TEST(RunnerTest, CampaignRunnerHonorsPreCampaignElapsed) {
 
 TEST(RunnerTest, ErrorOutcomeIsRetriedAndRecorded) {
   auto sweep = small_sweep();
-  sweep.faults = {{"baseline", std::nullopt}};
+  sweep.faults = {{"baseline", std::nullopt, {}}};
   sweep.replicates = 1;
   RunnerConfig rc;
   rc.workers = 1;

@@ -411,7 +411,7 @@ TEST(ReproTrace, RejectsTamperedDocuments) {
                orchestrator::CampaignFileError);
   // Unknown keys name themselves, same policy as campaign files.
   try {
-    orchestrator::parse_repro_trace(
+    (void)orchestrator::parse_repro_trace(
         "{\"magic\": \"hsfi-repro-v1\", \"sead\": 4}");
     FAIL() << "expected CampaignFileError";
   } catch (const orchestrator::CampaignFileError& e) {

@@ -123,7 +123,9 @@ TEST(ShardTest, PartitionIsDisjointCover) {
         EXPECT_EQ(shard_of(run.seed, n), k);
         EXPECT_TRUE(covered.insert(run.index).second)
             << "run " << run.index << " owned twice (n=" << n << ")";
-        if (!first) EXPECT_GT(run.index, prev_index) << "order not preserved";
+        if (!first) {
+          EXPECT_GT(run.index, prev_index) << "order not preserved";
+        }
         prev_index = run.index;
         first = false;
       }

@@ -240,8 +240,8 @@ TEST_P(SnapshotAdaptiveTest, ForkMatchesColdStart) {
 
 INSTANTIATE_TEST_SUITE_P(Strategies, SnapshotAdaptiveTest,
                          ::testing::Values("fixed", "bisect", "coverage"),
-                         [](const ::testing::TestParamInfo<const char*>& info) {
-                           return std::string(info.param);
+                         [](const ::testing::TestParamInfo<const char*>& p) {
+                           return std::string(p.param);
                          });
 
 // ---------------------------------------------------------------------------
