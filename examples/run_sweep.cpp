@@ -1,37 +1,35 @@
 // Parallel campaign sweep driver: the NFTAPE "external management and
-// control framework" role, scaled out. Expands a fault × direction ×
-// replicate grid into independent runs and executes them on a worker pool,
-// one private simulated testbed per run.
+// control framework" role, scaled out. Parses the command line into one
+// orchestrator::CampaignFile — a --spec file as loaded, or the grid flags
+// (fault × direction × replicate, optionally steered by --strategy)
+// lowered to a one-target file — and runs it through
+// adaptive::execute_campaign, one private simulated testbed per run.
 //
 //   ./build/examples/run_sweep                          # default 32-run grid
 //   ./build/examples/run_sweep --workers 1 --out a.jsonl
 //   ./build/examples/run_sweep --workers 8 --out b.jsonl
-//   sort a.jsonl | diff - <(sort b.jsonl)               # byte-identical
+//   cmp a.jsonl b.jsonl                                 # byte-identical
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iostream>
-#include <memory>
-#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "adaptive/controller.hpp"
-#include "adaptive/strategy.hpp"
+#include "adaptive/execute.hpp"
+#include "harness.hpp"
 #include "monitor/feed.hpp"
-#include "monitor/jsonl_reader.hpp"
 #include "monitor/service.hpp"
 #include "nftape/fabric.hpp"
 #include "nftape/medium.hpp"
 #include "orchestrator/campaign_file.hpp"
-#include "orchestrator/json_value.hpp"
 #include "orchestrator/jsonl.hpp"
 #include "orchestrator/repro.hpp"
 #include "orchestrator/runner.hpp"
@@ -44,53 +42,21 @@ using namespace hsfi;
 
 namespace {
 
-std::vector<orchestrator::FaultPoint> fault_axis_for(nftape::Medium medium) {
-  return orchestrator::standard_fault_axis(medium);
-}
-
-/// The built-in (non --spec) testbed and workload configuration. Factored
-/// out of main because --replay must rebuild it bit-for-bit from a trace:
-/// a replayed run only matches its stored record if every field the trace
-/// does not carry is identical to what the emitting process used.
-void apply_static_config(orchestrator::SweepSpec& sweep) {
-  sweep.testbed.map_period = sim::milliseconds(100);
-  sweep.testbed.nic_config.rx_processing_time = sim::microseconds(1);
-  sweep.testbed.send_stack_time = sim::microseconds(1);
-  // FC realization: drain receive buffers faster than the 12 us sequence
-  // pace so the healthy path never stalls on credits.
-  sweep.testbed.fc.rx_processing_time = sim::microseconds(1);
-  sweep.base.warmup = sim::milliseconds(10);
-  sweep.base.drain = sim::milliseconds(10);
-  // Full-capacity bursts (paper §4.2): collisions at the switch outputs
-  // engage STOP/GO flow control, so control-symbol faults have symbols to
-  // corrupt. Jitter makes the seed axis real — replicates differ.
-  sweep.base.workload.udp_interval = sim::microseconds(12);
-  sweep.base.workload.burst_size = 4;
-  sweep.base.workload.jitter = 0.5;
-  sweep.base.workload.payload_size = 256;
-}
-
-scenario::Medium scenario_medium_for(nftape::Medium m) {
-  return m == nftape::Medium::kFc ? scenario::Medium::kFc
-                                  : scenario::Medium::kMyrinet;
-}
-
 void usage(std::FILE* to = stdout) {
   std::fprintf(
       to,
       "usage: run_sweep [options]\n"
       "  --workers N      worker threads (default: hardware concurrency)\n"
       "  --snapshots on|off\n"
-      "                   snapshot/fork execution: each worker settles one\n"
-      "                   fabric per (topology, workload, medium) cell,\n"
-      "                   captures the settled state, and forks every run\n"
-      "                   of that cell from the snapshot instead of\n"
+      "                   fork every run of a (topology, workload, medium)\n"
+      "                   cell from one settled snapshot instead of\n"
       "                   re-simulating boot + mapping (default: off; the\n"
       "                   JSONL records are byte-identical either way)\n"
       "  --seed S         base seed; per-run seeds derive from it (default 1)\n"
       "  --replicates R   seed replicates per grid point (default 2)\n"
       "  --duration-ms D  measurement window per run (default 60)\n"
-      "  --out FILE       write JSONL records there (default: stdout)\n"
+      "  --out FILE       write JSONL records there durably, with a\n"
+      "                   FILE.ckpt checkpoint sidecar (default: stdout)\n"
       "  --timing         include per-run wall_ms in the JSONL (wall time\n"
       "                   is nondeterministic; omit for byte-comparable runs)\n"
       "  --bench-out FILE write sweep throughput in the BENCH_sim_kernel.json\n"
@@ -100,20 +66,17 @@ void usage(std::FILE* to = stdout) {
       "  --faults a,b,c   restrict the fault axis (see --list)\n"
       "  --list           print the selected medium's fault axis and exit\n"
       "  --list-faults    like --list but with one-line descriptions\n"
-      "  --list-scenarios print the registered misbehavior scenarios (name,\n"
-      "                   medium, description) and exit\n"
-      "  --scenario S     arm the named protocol-misbehavior scenario (see\n"
-      "                   --list-scenarios) over every run's measurement\n"
-      "                   window; composes with the fault axis and\n"
-      "                   --strategy, and step firings count as injections\n"
-      "  --emit-repro F   with --scenario: execute one reference run, then\n"
-      "                   delta-debug (ddmin) the step sequence down to a\n"
-      "                   minimal reproducer of the same manifestation\n"
-      "                   class on a snapshot-forked fabric, verify it, and\n"
-      "                   write a replayable trace to F\n"
+      "  --list-scenarios print the registered misbehavior scenarios and exit\n"
+      "  --scenario S     arm the named protocol-misbehavior scenario over\n"
+      "                   every run's measurement window; composes with the\n"
+      "                   fault axis and --strategy, and step firings count\n"
+      "                   as injections\n"
+      "  --emit-repro F   with --scenario: delta-debug (ddmin) one reference\n"
+      "                   run's step sequence down to a minimal reproducer of\n"
+      "                   its manifestation class, verify it, and write a\n"
+      "                   replayable trace to F\n"
       "  --replay F       re-execute a trace written by --emit-repro and\n"
-      "                   compare the produced JSONL record byte-for-byte\n"
-      "                   against the record stored in the trace\n"
+      "                   compare its JSONL record byte-for-byte\n"
       "  --strategy S     closed-loop campaign instead of the static grid:\n"
       "                   fixed (the static grid through the controller),\n"
       "                   bisect (binary-search the manifestation threshold\n"
@@ -125,29 +88,24 @@ void usage(std::FILE* to = stdout) {
       "  --max-rounds N   adaptive round cap (default 12)\n"
       "  --target-count N coverage: observations wanted per manifestation\n"
       "                   class per cell (default 5)\n"
-      "  --monitor        attach the live monitor: stream every completed\n"
-      "                   run into the online analysis service and print the\n"
-      "                   per-cell table (runs, Wilson 95%% manifestation CI,\n"
-      "                   class mix, drift flags) to stderr after the sweep\n"
+      "  --monitor        stream every completed run into the online analysis\n"
+      "                   service and print its per-cell table (runs, Wilson\n"
+      "                   95%% manifestation CI, class mix, drift flags)\n"
       "  --monitor-interval-ms N\n"
       "                   with --monitor: also re-render the table at most\n"
-      "                   every N ms while the campaign runs (default: final\n"
-      "                   table only)\n"
-      "  --early-cancel   with --strategy: live mode — the streaming feed\n"
-      "                   cancels a cell's remaining runs in a round once\n"
-      "                   the strategy declares them redundant (records\n"
-      "                   become outcome=skipped; the JSONL stream is no\n"
-      "                   longer byte-stable across worker counts)\n"
+      "                   every N ms while the campaign runs\n"
+      "  --early-cancel   with --strategy: skip a cell's remaining runs in a\n"
+      "                   round once the strategy declares them redundant\n"
+      "                   (records become outcome=skipped and are no longer\n"
+      "                   byte-stable across worker counts)\n"
       "  --dry-run        print the expanded grid (static) or the round-0\n"
       "                   batch (adaptive) without executing anything\n"
       "  --spec FILE      declarative campaign file (JSON: targets, media,\n"
-      "                   fault subsets, grids, strategy); replaces the grid\n"
-      "                   flags (--medium/--faults/--seed/--replicates/\n"
-      "                   --duration-ms/--strategy come from the spec)\n"
+      "                   fault subsets, grids, strategy) in place of the\n"
+      "                   grid flags; the flags and --spec run the same\n"
+      "                   executor\n"
       "  --shard K/N      with --spec --out: execute only shard K of N\n"
-      "                   (0-based; ownership is seed-keyed, so all N\n"
-      "                   processes agree without coordination); writes\n"
-      "                   FILE.shardKofN plus a durable .ckpt sidecar\n"
+      "                   (seed-keyed ownership); writes FILE.shardKofN\n"
       "  --merge N        with --spec --out: merge the N shard files into\n"
       "                   --out, byte-identical to a single-process run\n"
       "  --resume         with --spec --out: continue after the last durable\n"
@@ -159,27 +117,16 @@ void usage(std::FILE* to = stdout) {
       "                   if SIGKILLed) after N durable batches/rounds\n");
 }
 
-/// Commit stamp for --bench-out records: HSFI_COMMIT env when set (the
-/// before/after measurement scripts pin it), else git, else "unknown".
-/// Self-contained on purpose — this file must build against kernels that
-/// predate bench/harness.
-std::string commit_id() {
-  if (const char* env = std::getenv("HSFI_COMMIT"); env != nullptr && *env) {
-    return env;
-  }
-  std::string commit = "unknown";
-  if (std::FILE* pipe = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
-    char buffer[64] = {};
-    if (std::fgets(buffer, sizeof(buffer), pipe) != nullptr) {
-      std::string line(buffer);
-      while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-        line.pop_back();
-      }
-      if (!line.empty()) commit = line;
-    }
-    pclose(pipe);
-  }
-  return commit;
+/// A flag error: the message, then the usage text, on stderr. Returns the
+/// exit code 1.
+[[gnu::format(printf, 1, 2)]] int usage_error(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  std::vfprintf(stderr, fmt, args);
+  va_end(args);
+  std::fprintf(stderr, "\n\n");
+  usage(stderr);
+  return 1;
 }
 
 /// Re-renders the monitor table to stderr at most once per interval,
@@ -215,7 +162,7 @@ bool write_bench_out(const std::string& path,
     events += r.result.events_executed;
     symbols += r.result.symbols_sent;
   }
-  const std::string commit = commit_id();
+  const std::string commit = bench::current_commit();
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -249,32 +196,6 @@ bool write_bench_out(const std::string& path,
   return static_cast<bool>(out);
 }
 
-// ===========================================================================
-// --spec mode: declarative campaign files, seed-keyed sharding, durable
-// checkpoints, resume, and shard merge (see orchestrator/campaign_file.hpp
-// and orchestrator/shard.hpp).
-
-struct SpecCli {
-  std::string spec_path;
-  std::string out_path;
-  std::size_t workers = 0;
-  bool snapshots = false;
-  bool timing = false;
-  bool resume = false;
-  bool dry_run = false;
-  std::uint32_t shard_k = 0;
-  std::uint32_t shard_n = 1;
-  std::uint32_t merge_n = 0;
-  std::size_t batch_override = 0;
-  std::uint64_t crash_after = 0;  ///< test hook: hard-exit after N batches
-};
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)v);
-  return buf;
-}
-
 /// The --crash-after-batches hook: append a torn (newline-less, truncated)
 /// record to the data file — the worst-case in-flight write — then die
 /// without unwinding, like a SIGKILL would. Resume must discard the tear.
@@ -287,367 +208,6 @@ std::string hex64(std::uint64_t v) {
     ::close(fd);
   }
   _exit(9);
-}
-
-int run_spec_static(const orchestrator::CampaignFile& file,
-                    const SpecCli& cli) {
-  const auto runs = orchestrator::expand_campaign(file);
-
-  if (cli.dry_run) {
-    std::printf("dry run: %zu runs across %zu targets\n", runs.size(),
-                file.targets.size());
-    for (const auto& r : runs) {
-      if (cli.shard_n > 1 &&
-          orchestrator::shard_of(r.seed, cli.shard_n) != cli.shard_k) {
-        continue;
-      }
-      std::printf("%zu %s seed=%llu\n", r.index, r.campaign.name.c_str(),
-                  (unsigned long long)r.seed);
-    }
-    return 0;
-  }
-
-  if (cli.merge_n > 0) {
-    const std::size_t merged =
-        orchestrator::merge_shards(runs, cli.out_path, cli.merge_n);
-    std::fprintf(stderr, "merged %zu records from %u shards into %s\n",
-                 merged, cli.merge_n, cli.out_path.c_str());
-    return 0;
-  }
-
-  const auto mine = orchestrator::shard_runs(runs, cli.shard_k, cli.shard_n);
-  std::fprintf(stderr, "%s: %zu of %zu runs on shard %u/%u\n",
-               file.name.c_str(), mine.size(), runs.size(), cli.shard_k,
-               cli.shard_n);
-
-  orchestrator::RunnerConfig rc;
-  rc.workers = cli.workers;
-  rc.snapshots = cli.snapshots;
-  rc.on_progress = [](const orchestrator::Progress& p) {
-    std::fprintf(stderr, "\r%zu/%zu done, %zu failed, %zu in flight   ",
-                 p.completed + p.failed, p.total, p.failed, p.in_flight);
-  };
-  orchestrator::Runner runner(rc);
-
-  if (cli.out_path.empty()) {
-    // No durability without a file: plain in-memory sweep to stdout.
-    const auto records = runner.run_all(mine);
-    std::fprintf(stderr, "\n");
-    for (const auto& r : records) {
-      std::printf("%s\n", orchestrator::to_jsonl(r, cli.timing).c_str());
-    }
-    std::fprintf(stderr, "\n%s",
-                 orchestrator::summarize(file.name, records).render().c_str());
-    for (const auto& r : records) {
-      if (r.outcome != orchestrator::RunOutcome::kOk) return 2;
-    }
-    return 0;
-  }
-
-  const std::string data_file =
-      orchestrator::shard_path(cli.out_path, cli.shard_k, cli.shard_n);
-  orchestrator::Checkpoint identity;
-  identity.spec_digest = file.digest;
-  identity.shard = cli.shard_k;
-  identity.of = cli.shard_n;
-
-  orchestrator::ShardOptions opts;
-  opts.batch =
-      cli.batch_override != 0 ? cli.batch_override : file.checkpoint_batch;
-  opts.resume = cli.resume;
-  opts.include_timing = cli.timing;
-  if (cli.crash_after > 0) {
-    opts.after_batch = [&](const orchestrator::Checkpoint& c) {
-      if (c.batches >= cli.crash_after) crash_torn(data_file);
-    };
-  }
-
-  const auto result =
-      orchestrator::run_sharded(runner, mine, data_file, identity, opts);
-  std::fprintf(stderr, "\n%s: %zu runs executed, %llu restored from %s\n",
-               data_file.c_str(), result.executed.size(),
-               (unsigned long long)result.restored,
-               orchestrator::checkpoint_path(data_file).c_str());
-  if (!result.executed.empty()) {
-    std::fprintf(
-        stderr, "\n%s",
-        orchestrator::summarize(file.name, result.executed).render().c_str());
-  }
-  for (const auto& r : result.executed) {
-    if (r.outcome != orchestrator::RunOutcome::kOk) return 2;
-  }
-  return 0;
-}
-
-/// Per-target cursor of the adaptive sidecar.
-struct AdaptiveTargetState {
-  std::uint64_t rounds = 0;
-  std::uint64_t records = 0;  ///< JSONL lines this target owns, in order
-  bool done = false;
-};
-
-void write_adaptive_checkpoint(const std::string& sidecar,
-                               std::uint64_t digest, std::uint64_t bytes,
-                               const std::vector<AdaptiveTargetState>& state) {
-  std::string targets = "[";
-  for (std::size_t i = 0; i < state.size(); ++i) {
-    orchestrator::JsonObject t;
-    t.add_u64("rounds", state[i].rounds);
-    t.add_u64("records", state[i].records);
-    t.add_bool("done", state[i].done);
-    if (i > 0) targets += ',';
-    targets += t.str();
-  }
-  targets += ']';
-  const std::string line = "{\"magic\":\"hsfi-ckpt-v1\",\"mode\":\"adaptive\""
-                           ",\"spec\":\"" + hex64(digest) + "\",\"bytes\":" +
-                           std::to_string(bytes) + ",\"targets\":" + targets +
-                           "}\n";
-  orchestrator::write_text_durable(sidecar, line);
-}
-
-/// Strategy campaigns from a spec: one Controller per target, records
-/// appended durably with a sidecar updated at every round barrier. Resume
-/// parses the durable JSONL back (monitor::parse_record — the strict
-/// record contract) and replays it through Controller::run, which
-/// re-derives and verifies every restored round before executing new ones.
-int run_spec_adaptive(const orchestrator::CampaignFile& file,
-                      const SpecCli& cli) {
-  const orchestrator::StrategySpec& strat = *file.strategy;
-  const std::string sidecar =
-      cli.out_path.empty() ? "" : cli.out_path + ".ckpt";
-
-  std::vector<AdaptiveTargetState> state(file.targets.size());
-  std::vector<std::vector<std::vector<adaptive::ReplayRecord>>> replays(
-      file.targets.size());
-  std::uint64_t keep_bytes = 0;
-
-  if (cli.resume) {
-    std::ifstream in(sidecar, std::ios::binary);
-    if (in) {
-      std::ostringstream text;
-      text << in.rdbuf();
-      std::string error;
-      const auto doc = orchestrator::parse_json(text.str(), &error);
-      if (!doc) {
-        std::fprintf(stderr, "corrupt checkpoint %s (%s)\n", sidecar.c_str(),
-                     error.c_str());
-        return 1;
-      }
-      const auto* mode = doc->find("mode");
-      const auto* spec = doc->find("spec");
-      if (mode == nullptr || mode->text != "adaptive" || spec == nullptr ||
-          std::strtoull(spec->text.c_str(), nullptr, 16) != file.digest) {
-        std::fprintf(stderr,
-                     "checkpoint %s does not match this campaign spec — "
-                     "refusing to splice\n",
-                     sidecar.c_str());
-        return 1;
-      }
-      const auto* bytes = doc->find("bytes");
-      const auto* targets = doc->find("targets");
-      if (bytes == nullptr || !bytes->as_u64(keep_bytes) ||
-          targets == nullptr ||
-          targets->items.size() != file.targets.size()) {
-        std::fprintf(stderr, "checkpoint %s is malformed\n", sidecar.c_str());
-        return 1;
-      }
-      for (std::size_t i = 0; i < state.size(); ++i) {
-        const auto& t = targets->items[i];
-        const auto* rounds = t.find("rounds");
-        const auto* records = t.find("records");
-        const auto* done = t.find("done");
-        if (rounds == nullptr || !rounds->as_u64(state[i].rounds) ||
-            records == nullptr || !records->as_u64(state[i].records) ||
-            done == nullptr) {
-          std::fprintf(stderr, "checkpoint %s is malformed\n",
-                       sidecar.c_str());
-          return 1;
-        }
-        state[i].done = done->boolean;
-      }
-
-      // Read the durable record prefix back and replay it per target, in
-      // round order (emission order is round-major, so grouping is a walk).
-      std::ifstream data(cli.out_path, std::ios::binary);
-      if (!data) {
-        std::fprintf(stderr, "checkpoint %s exists but %s is missing\n",
-                     sidecar.c_str(), cli.out_path.c_str());
-        return 1;
-      }
-      std::string prefix(keep_bytes, '\0');
-      data.read(prefix.data(), static_cast<std::streamsize>(keep_bytes));
-      if (static_cast<std::uint64_t>(data.gcount()) != keep_bytes) {
-        std::fprintf(stderr,
-                     "%s is shorter than its checkpoint (%llu bytes) — the "
-                     "file was tampered with\n",
-                     cli.out_path.c_str(), (unsigned long long)keep_bytes);
-        return 1;
-      }
-      std::istringstream lines(prefix);
-      std::string line;
-      for (std::size_t ti = 0; ti < state.size(); ++ti) {
-        for (std::uint64_t n = 0; n < state[ti].records; ++n) {
-          if (!std::getline(lines, line)) {
-            std::fprintf(stderr, "%s has fewer records than its checkpoint\n",
-                         cli.out_path.c_str());
-            return 1;
-          }
-          const auto rec = monitor::parse_record(line);
-          if (!rec) {
-            std::fprintf(stderr, "unparseable record in %s: %s\n",
-                         cli.out_path.c_str(), line.c_str());
-            return 1;
-          }
-          auto& rounds = replays[ti];
-          if (rec->round >= rounds.size()) rounds.resize(rec->round + 1);
-          adaptive::ReplayRecord rr;
-          rr.name = rec->name;
-          rr.ok = rec->ok();
-          rr.injections = rec->injections;
-          rr.duplicates = rec->duplicates;
-          rr.manifestations = rec->manifestations;
-          rounds[rec->round].push_back(std::move(rr));
-        }
-      }
-      std::fprintf(stderr, "resuming %s: %llu durable bytes restored\n",
-                   cli.out_path.c_str(), (unsigned long long)keep_bytes);
-    }
-  }
-
-  std::unique_ptr<orchestrator::DurableAppender> out;
-  if (!cli.out_path.empty()) {
-    out = std::make_unique<orchestrator::DurableAppender>(cli.out_path,
-                                                          keep_bytes);
-  }
-
-  std::vector<orchestrator::RunRecord> executed;
-  std::size_t replayed_total = 0;
-  std::size_t global_index = 0;
-  std::uint64_t rounds_executed = 0;  // across targets, for --crash-after
-  bool converged_all = true;
-
-  for (std::size_t ti = 0; ti < file.targets.size(); ++ti) {
-    const auto& target = file.targets[ti];
-    const orchestrator::SweepSpec& sweep = target.sweep;
-
-    adaptive::AdaptiveSpec aspec;
-    aspec.name = file.name + ":" + target.name;
-    aspec.base = sweep.base;
-    aspec.testbed = sweep.testbed;
-    aspec.startup_settle = sweep.startup_settle;
-    aspec.faults = sweep.faults;
-    aspec.directions = sweep.directions;
-    aspec.knob = strat.knob;
-    aspec.base_seed = sweep.base_seed;
-    aspec.max_rounds = strat.max_rounds;
-    aspec.name_prefix = target.name + ":";
-    aspec.index_base = global_index;
-
-    adaptive::ControllerConfig cc;
-    cc.runner.workers = cli.workers;
-    cc.runner.snapshots = cli.snapshots;
-    const std::uint64_t replayed_rounds = replays[ti].size();
-    cc.on_round = [&](const adaptive::RoundSummary& s) {
-      std::fprintf(stderr, "%s round %u: %zu runs (%zu failed), %zu total\n",
-                   target.name.c_str(), s.round, s.runs, s.failed,
-                   s.total_runs);
-      if (s.round < replayed_rounds) return;  // restored, already durable
-      if (out != nullptr) {
-        // Round barrier = durability barrier: data first, cursor second.
-        out->sync();
-        state[ti].rounds = s.round + 1;
-        state[ti].records = s.total_runs;
-        write_adaptive_checkpoint(sidecar, file.digest, out->bytes(), state);
-      }
-      ++rounds_executed;
-      if (cli.crash_after > 0 && rounds_executed >= cli.crash_after) {
-        crash_torn(cli.out_path);
-      }
-    };
-    if (out != nullptr) {
-      cc.on_record = [&](const orchestrator::RunRecord& r) {
-        out->append(orchestrator::to_jsonl(r, cli.timing) + "\n");
-      };
-    } else {
-      cc.on_record = [&](const orchestrator::RunRecord& r) {
-        std::printf("%s\n", orchestrator::to_jsonl(r, cli.timing).c_str());
-      };
-    }
-
-    adaptive::Controller controller(aspec, std::move(cc));
-
-    std::unique_ptr<adaptive::Strategy> strategy;
-    if (strat.name == "bisect") {
-      adaptive::BisectionConfig bc;
-      bc.lo = strat.axis_lo;
-      bc.hi = strat.axis_hi;
-      bc.tolerance = strat.tolerance_us;
-      bc.higher_is_more_intense = false;
-      bc.min_manifested = 3;
-      strategy = std::make_unique<adaptive::BisectionStrategy>(
-          controller.cells(), bc);
-    } else if (strat.name == "coverage") {
-      adaptive::CoverageConfig cov;
-      cov.knob_value = strat.axis_lo;
-      cov.target_count = strat.target_count;
-      cov.batch_replicates = sweep.replicates;
-      strategy = std::make_unique<adaptive::CoverageStrategy>(
-          controller.cells(), cov);
-    } else {
-      adaptive::FixedGridConfig fg;
-      fg.knob_values = {
-          sim::to_nanoseconds(sweep.base.workload.udp_interval) / 1000.0};
-      fg.replicates = sweep.replicates;
-      strategy = std::make_unique<adaptive::FixedGridStrategy>(
-          controller.cells(), fg);
-    }
-
-    if (cli.dry_run) {
-      const auto round0 = controller.expand_round(strategy->next_round(0), 0,
-                                                  0, strat.name);
-      std::printf("%s: %zu runs in round 0 (strategy %s)\n",
-                  target.name.c_str(), round0.size(), strat.name.c_str());
-      for (const auto& r : round0) {
-        std::printf("%zu %s seed=%llu round=%u\n", r.index,
-                    r.campaign.name.c_str(), (unsigned long long)r.seed,
-                    r.round);
-      }
-      continue;
-    }
-
-    const auto outcome = controller.run(*strategy, replays[ti]);
-    global_index += outcome.replayed + outcome.records.size();
-    replayed_total += outcome.replayed;
-    if (!outcome.converged) converged_all = false;
-    for (const auto& r : outcome.records) executed.push_back(r);
-
-    state[ti].rounds = outcome.rounds;
-    state[ti].records = outcome.replayed + outcome.records.size();
-    state[ti].done = true;
-    if (out != nullptr) {
-      out->sync();
-      write_adaptive_checkpoint(sidecar, file.digest, out->bytes(), state);
-    }
-  }
-  if (cli.dry_run) return 0;
-
-  std::fprintf(stderr, "\n%s [%s]: %zu runs executed, %zu replayed%s\n",
-               file.name.c_str(), strat.name.c_str(), executed.size(),
-               replayed_total,
-               converged_all ? ", all targets converged" : "");
-  if (!executed.empty()) {
-    std::fprintf(
-        stderr, "\n%s",
-        orchestrator::summarize(file.name, executed).render().c_str());
-  }
-  for (const auto& r : executed) {
-    if (r.outcome != orchestrator::RunOutcome::kOk &&
-        r.outcome != orchestrator::RunOutcome::kSkipped) {
-      return 2;
-    }
-  }
-  return 0;
 }
 
 // ===========================================================================
@@ -747,32 +307,10 @@ int emit_repro(orchestrator::SweepSpec sweep, bool fault_filtered,
     return 1;
   }
 
-  orchestrator::ReproTrace trace;
-  trace.name = verify.name;
-  trace.medium = sweep.base.medium;
-  trace.seed = sweep.base_seed;
-  trace.fault = sweep.faults.front().config ? sweep.faults.front().name : "";
-  trace.direction = orchestrator::FaultDirection::kBoth;
-  trace.warmup = sweep.base.warmup;
-  trace.duration = sweep.base.duration;
-  trace.drain = sweep.base.drain;
-  trace.udp_interval = sweep.base.workload.udp_interval;
-  trace.payload_size = sweep.base.workload.payload_size;
-  trace.burst_size = sweep.base.workload.burst_size;
-  trace.jitter = sweep.base.workload.jitter;
-  trace.scenario = minimized.minimal;
-  trace.expect = expect;
-  trace.jsonl = orchestrator::to_jsonl(verify, false);
-
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  out << orchestrator::to_json(trace);
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "write to %s failed\n", path.c_str());
+  const auto trace = orchestrator::make_repro_trace(sweep, verify, expect);
+  if (!(std::ofstream(path, std::ios::binary) << orchestrator::to_json(trace)
+            << std::flush)) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return 1;
   }
   std::fprintf(stderr, "wrote %s (%zu-step reproducer for %s)\n", path.c_str(),
@@ -782,42 +320,15 @@ int emit_repro(orchestrator::SweepSpec sweep, bool fault_filtered,
 
 int replay_trace(const std::string& path) {
   orchestrator::ReproTrace trace;
+  orchestrator::SweepSpec sweep;
+  orchestrator::apply_grid_defaults(sweep);
   try {
     trace = orchestrator::load_repro_trace(path);
+    sweep = orchestrator::replay_sweep(trace, std::move(sweep));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-
-  orchestrator::SweepSpec sweep;
-  sweep.name = "replay";
-  apply_static_config(sweep);
-  sweep.base.medium = trace.medium;
-  sweep.base.warmup = trace.warmup;
-  sweep.base.duration = trace.duration;
-  sweep.base.drain = trace.drain;
-  sweep.base.workload.udp_interval = trace.udp_interval;
-  sweep.base.workload.payload_size = trace.payload_size;
-  sweep.base.workload.burst_size = trace.burst_size;
-  sweep.base.workload.jitter = trace.jitter;
-  sweep.base.scenario = trace.scenario;
-  sweep.base_seed = trace.seed;
-  sweep.directions = {trace.direction};
-  sweep.replicates = 1;
-  if (trace.fault.empty()) {
-    sweep.faults = {{"baseline", std::nullopt, ""}};
-  } else {
-    for (auto& f : fault_axis_for(trace.medium)) {
-      if (f.name == trace.fault) sweep.faults.push_back(std::move(f));
-    }
-    if (sweep.faults.empty()) {
-      std::fprintf(stderr, "trace fault '%s' is not on the %s axis\n",
-                   trace.fault.c_str(),
-                   std::string(nftape::to_string(trace.medium)).c_str());
-      return 1;
-    }
-  }
-
   const auto record = reference_run(orchestrator::expand(sweep).front());
   const std::string line = orchestrator::to_jsonl(record, false);
   if (line == trace.jsonl) {
@@ -832,70 +343,135 @@ int replay_trace(const std::string& path) {
   return 2;
 }
 
-int run_spec(const SpecCli& cli) {
-  try {
-    const auto file = orchestrator::load_campaign_file(cli.spec_path);
-    if (file.strategy.has_value()) {
-      if (cli.shard_n > 1 || cli.merge_n > 0) {
-        std::fprintf(stderr,
-                     "--shard/--merge apply to static campaigns; '%s' is "
-                     "steered by strategy %s\n",
-                     cli.spec_path.c_str(), file.strategy->name.c_str());
-        return 1;
-      }
-      return run_spec_adaptive(file, cli);
+/// --dry-run: the expanded static grid (this shard's part of it), or each
+/// target's round-0 batch, without executing anything. The static header
+/// differs between the flag grid and a --spec file.
+void print_plan(const orchestrator::CampaignFile& file, std::uint32_t shard,
+                std::uint32_t of, bool from_flags) {
+  if (!file.strategy) {
+    const auto runs = orchestrator::expand_campaign(file);
+    const auto& sweep = file.targets.front().sweep;
+    if (from_flags) {
+      std::printf("dry run: %zu runs (%zu faults x %zu directions x %zu reps)\n",
+                  runs.size(), sweep.faults.size(), sweep.directions.size(),
+                  sweep.replicates);
+    } else {
+      std::printf("dry run: %zu runs across %zu targets\n", runs.size(),
+                  file.targets.size());
     }
-    return run_spec_static(file, cli);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
+    for (const auto& r : runs) {
+      if (orchestrator::shard_of(r.seed, of) != shard) continue;
+      std::printf("%zu %s seed=%llu\n", r.index, r.campaign.name.c_str(),
+                  (unsigned long long)r.seed);
+    }
+    return;
+  }
+  for (const auto& target : file.targets) {
+    const adaptive::Controller controller(
+        adaptive::adaptive_spec(file, target, 0));
+    const auto strategy = adaptive::make_strategy(
+        *file.strategy, controller.cells(), target.sweep.replicates,
+        target.sweep.base.workload.udp_interval);
+    const auto round0 = controller.expand_round(strategy->next_round(0), 0,
+                                                0, strategy->name());
+    std::printf("%s: %zu runs in round 0 (strategy %s)\n",
+                target.name.empty() ? "dry run" : target.name.c_str(),
+                round0.size(), file.strategy->name.c_str());
+    for (const auto& r : round0) {
+      std::printf("%zu %s seed=%llu round=%u\n", r.index,
+                  r.campaign.name.c_str(), (unsigned long long)r.seed,
+                  r.round);
+    }
+  }
+}
+
+/// The stderr report after a campaign: run summary, per-cell rates (with
+/// bisect thresholds), and the final monitor table when one is attached.
+void report(const orchestrator::CampaignFile& file,
+            const adaptive::ExecuteResult& result, double total_s,
+            const monitor::MonitorService* service) {
+  const std::string title =
+      file.strategy ? file.name + " [" + file.strategy->name + "]" : file.name;
+  std::fprintf(stderr, "\n%s: %zu runs executed, %llu restored\n",
+               title.c_str(), result.records.size(),
+               (unsigned long long)result.restored);
+  if (!result.records.empty()) {
+    auto summary = orchestrator::summarize(title, result.records);
+    summary.add_note(
+        file.strategy
+            ? nftape::cell("%u rounds, %s; %.1f s wall", result.rounds,
+                           result.converged ? "converged"
+                                            : "round/run cap reached",
+                           total_s)
+            : nftape::cell("%.1f s wall, %.2f runs/s", total_s,
+                           static_cast<double>(result.records.size()) /
+                               total_s));
+    std::fprintf(stderr, "\n%s", summary.render().c_str());
+    auto cells = orchestrator::cell_summary("per-cell manifestation rates",
+                                            result.records);
+    for (const auto& [cell, t] : result.thresholds) {
+      if (t.found && std::isnan(t.masked_at)) {
+        cells.add_note(nftape::cell(
+            "%s: the entire axis manifests (down to udp-us = %.6g, %zu runs)",
+            cell.c_str(), t.manifested_at, t.runs));
+      } else if (t.found) {
+        cells.add_note(nftape::cell(
+            "%s: manifests at udp-us <= %.6g (bracket %.6g..%.6g, %zu runs)",
+            cell.c_str(), t.manifested_at, t.manifested_at, t.masked_at,
+            t.runs));
+      } else {
+        cells.add_note(
+            nftape::cell("%s: no manifestation on the axis", cell.c_str()));
+      }
+    }
+    std::fprintf(stderr, "\n%s", cells.render().c_str());
+  }
+  if (service != nullptr) {
+    std::fprintf(stderr, "\n%s",
+                 service->table("monitor (final)").render().c_str());
   }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t workers = 0;
-  bool snapshots = false;
-  std::uint64_t seed = 1;
-  std::size_t replicates = 2;
-  long duration_ms = 60;
-  std::string out_path;
-  std::string bench_out_path;
-  bool timing = false;
-  std::string fault_filter;
-  nftape::Medium medium = nftape::Medium::kMyrinet;
-  bool list_only = false;
-  bool list_faults = false;
-  bool list_scenarios = false;
-  std::string scenario_name;
-  std::string emit_repro_path;
-  std::string replay_path;
-  std::string strategy_name;
-  long tolerance_us = 24;
-  std::uint32_t max_rounds = 12;
-  std::uint64_t target_count = 5;
-  bool dry_run = false;
-  bool monitor = false;
-  long monitor_interval_ms = 0;  // 0 = final table only
-  bool early_cancel = false;
-  SpecCli spec;
+  orchestrator::GridCampaign grid;
+  adaptive::ExecuteOptions opts;
+  std::string spec_path, bench_out_path, emit_repro_path, replay_path;
+  bool list_only = false, list_faults = false, list_scenarios = false;
+  bool dry_run = false, monitor = false;
   bool grid_flags_used = false;  // flags the spec supersedes
+  long monitor_interval_ms = 0;  // 0 = final table only
+  std::uint32_t merge_n = 0;
+  std::uint64_t crash_after = 0;
+  std::string command_line;  // the lowered campaign file's identity
+
+  // Switches and plain string flags; the loop handles the rest. --list*
+  // only take effect after parsing, so `--medium fc --list` works in any
+  // order.
+  const std::pair<const char*, bool*> switches[] = {
+      {"--resume", &opts.resume},       {"--timing", &opts.timing},
+      {"--monitor", &monitor},          {"--early-cancel", &opts.early_cancel},
+      {"--dry-run", &dry_run},          {"--list", &list_only},
+      {"--list-faults", &list_faults},  {"--list-scenarios", &list_scenarios}};
+  const std::pair<const char*, std::string*> strings[] = {
+      {"--spec", &spec_path},         {"--out", &opts.out},
+      {"--bench-out", &bench_out_path}, {"--faults", &grid.faults},
+      {"--scenario", &grid.scenario}, {"--emit-repro", &emit_repro_path},
+      {"--replay", &replay_path}};
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    command_line += arg + ' ';
     // Both lambdas bound-check i before reading argv[++i]: a flag at the
     // end of the command line must not read past argv, and a non-numeric
     // value must not silently parse as 0.
     const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n\n", arg.c_str());
-        usage(stderr);
-        std::exit(1);
-      }
+      if (i + 1 >= argc) std::exit(usage_error("%s needs a value", argv[i]));
+      command_line += std::string(argv[i + 1]) + ' ';
       return argv[++i];
     };
-    const auto numeric = [&]() -> long long {
+    const auto numeric = [&](bool positive = false) -> long long {
       const char* v = value();
       char* end = nullptr;
       errno = 0;
@@ -904,46 +480,49 @@ int main(int argc, char** argv) {
       // only reports it via errno, so "--runs 99999999999999999999" would
       // otherwise silently become a 9.2e18-run campaign.
       if (errno == ERANGE) {
-        std::fprintf(stderr, "%s value out of range: '%s'\n\n", arg.c_str(),
-                     v);
-        usage(stderr);
-        std::exit(1);
+        std::exit(usage_error("%s value out of range: '%s'", arg.c_str(), v));
       }
       if (end == v || *end != '\0' || parsed < 0) {
-        std::fprintf(stderr, "%s needs a non-negative integer, got '%s'\n\n",
-                     arg.c_str(), v);
-        usage(stderr);
-        std::exit(1);
+        std::exit(usage_error("%s needs a non-negative integer, got '%s'",
+                              arg.c_str(), v));
+      }
+      if (positive && parsed == 0) {
+        std::exit(usage_error("%s must be positive", arg.c_str()));
       }
       return parsed;
     };
-    if (arg == "--workers") {
-      workers = static_cast<std::size_t>(numeric());
-    } else if (arg == "--snapshots") {
-      // Execution knob like --workers (never changes the records), so it
-      // is allowed alongside --spec.
-      const std::string v = value();
-      if (v == "on") {
-        snapshots = true;
-      } else if (v == "off") {
-        snapshots = false;
-      } else {
-        std::fprintf(stderr, "--snapshots must be on or off, got '%s'\n\n",
-                     v.c_str());
-        usage(stderr);
-        return 1;
+    const auto find = [&](const auto& table) {
+      for (const auto& [name, dst] : table) {
+        if (arg == name) return dst;
       }
+      return decltype(table[0].second){};
+    };
+    // Campaign-shaping flags; execution knobs such as --workers and
+    // --snapshots never change the records, so they combine with --spec.
+    grid_flags_used = grid_flags_used || arg == "--seed" ||
+                      arg == "--replicates" || arg == "--duration-ms" ||
+                      arg == "--faults" || arg == "--medium" ||
+                      arg == "--strategy" || arg == "--scenario" ||
+                      arg == "--emit-repro";
+    if (bool* flag = find(switches)) {
+      *flag = true;
+    } else if (std::string* dst = find(strings)) {
+      *dst = value();
+    } else if (arg == "--workers") {
+      opts.workers = static_cast<std::size_t>(numeric());
+    } else if (arg == "--snapshots") {
+      const std::string v = value();
+      if (v != "on" && v != "off") {
+        return usage_error("--snapshots must be on or off, got '%s'",
+                           v.c_str());
+      }
+      opts.snapshots = v == "on";
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(numeric());
-      grid_flags_used = true;
+      grid.seed = static_cast<std::uint64_t>(numeric());
     } else if (arg == "--replicates") {
-      replicates = static_cast<std::size_t>(numeric());
-      grid_flags_used = true;
+      grid.replicates = static_cast<std::size_t>(numeric());
     } else if (arg == "--duration-ms") {
-      duration_ms = static_cast<long>(numeric());
-      grid_flags_used = true;
-    } else if (arg == "--spec") {
-      spec.spec_path = value();
+      grid.duration_ms = static_cast<long>(numeric());
     } else if (arg == "--shard") {
       const char* v = value();
       char* end = nullptr;
@@ -959,193 +538,93 @@ int main(int argc, char** argv) {
              k < n && n <= 4096;
       }
       if (!ok) {
-        std::fprintf(stderr, "--shard wants K/N with 0 <= K < N, got '%s'\n\n",
-                     v);
-        usage(stderr);
-        return 1;
+        return usage_error("--shard wants K/N with 0 <= K < N, got '%s'", v);
       }
-      spec.shard_k = static_cast<std::uint32_t>(k);
-      spec.shard_n = static_cast<std::uint32_t>(n);
+      opts.shard = static_cast<std::uint32_t>(k);
+      opts.of = static_cast<std::uint32_t>(n);
     } else if (arg == "--merge") {
       const auto n = numeric();
-      if (n < 2 || n > 4096) {
-        std::fprintf(stderr, "--merge needs at least 2 shards\n\n");
-        usage(stderr);
-        return 1;
-      }
-      spec.merge_n = static_cast<std::uint32_t>(n);
-    } else if (arg == "--resume") {
-      spec.resume = true;
+      if (n < 2 || n > 4096) return usage_error("--merge needs at least 2 shards");
+      merge_n = static_cast<std::uint32_t>(n);
     } else if (arg == "--batch") {
-      const auto n = numeric();
-      if (n == 0) {
-        std::fprintf(stderr, "--batch must be positive\n\n");
-        usage(stderr);
-        return 1;
-      }
-      spec.batch_override = static_cast<std::size_t>(n);
+      opts.batch = static_cast<std::size_t>(numeric(true));
     } else if (arg == "--crash-after-batches") {
-      spec.crash_after = static_cast<std::uint64_t>(numeric());
-    } else if (arg == "--out") {
-      out_path = value();
-    } else if (arg == "--bench-out") {
-      bench_out_path = value();
-    } else if (arg == "--timing") {
-      timing = true;
-    } else if (arg == "--faults") {
-      fault_filter = value();
-      grid_flags_used = true;
+      crash_after = static_cast<std::uint64_t>(numeric());
     } else if (arg == "--medium") {
-      grid_flags_used = true;
       const char* v = value();
       const auto parsed = nftape::parse_medium(v);
       if (!parsed) {
-        std::fprintf(stderr, "--medium must be myrinet or fc, got '%s'\n\n", v);
-        usage(stderr);
-        return 1;
+        return usage_error("--medium must be myrinet or fc, got '%s'", v);
       }
-      medium = *parsed;
+      grid.medium = *parsed;
     } else if (arg == "--strategy") {
-      strategy_name = value();
-      grid_flags_used = true;
-      if (strategy_name != "fixed" && strategy_name != "bisect" &&
-          strategy_name != "coverage") {
-        std::fprintf(stderr,
-                     "--strategy must be fixed, bisect, or coverage, got "
-                     "'%s'\n\n",
-                     strategy_name.c_str());
-        usage(stderr);
-        return 1;
+      grid.strategy.name = value();
+      if (grid.strategy.name != "fixed" && grid.strategy.name != "bisect" &&
+          grid.strategy.name != "coverage") {
+        return usage_error(
+            "--strategy must be fixed, bisect, or coverage, got '%s'",
+            grid.strategy.name.c_str());
       }
     } else if (arg == "--tolerance") {
-      tolerance_us = static_cast<long>(numeric());
-      if (tolerance_us == 0) {
-        std::fprintf(stderr, "--tolerance must be positive\n\n");
-        usage(stderr);
-        return 1;
-      }
+      grid.strategy.tolerance_us = static_cast<double>(numeric(true));
     } else if (arg == "--max-rounds") {
-      max_rounds = static_cast<std::uint32_t>(numeric());
+      grid.strategy.max_rounds = static_cast<std::uint32_t>(numeric());
     } else if (arg == "--target-count") {
-      target_count = static_cast<std::uint64_t>(numeric());
-    } else if (arg == "--monitor") {
-      monitor = true;
+      grid.strategy.target_count = static_cast<std::uint64_t>(numeric());
     } else if (arg == "--monitor-interval-ms") {
-      monitor_interval_ms = static_cast<long>(numeric());
-      if (monitor_interval_ms == 0) {
-        std::fprintf(stderr, "--monitor-interval-ms must be positive\n\n");
-        usage(stderr);
-        return 1;
-      }
-    } else if (arg == "--early-cancel") {
-      early_cancel = true;
-    } else if (arg == "--dry-run") {
-      dry_run = true;
-    } else if (arg == "--list") {
-      // Deferred past parsing so `--medium fc --list` works in any order.
-      list_only = true;
-    } else if (arg == "--list-faults") {
-      list_faults = true;
-    } else if (arg == "--list-scenarios") {
-      list_scenarios = true;
-    } else if (arg == "--scenario") {
-      scenario_name = value();
-      grid_flags_used = true;
-    } else if (arg == "--emit-repro") {
-      emit_repro_path = value();
-      grid_flags_used = true;
-    } else if (arg == "--replay") {
-      replay_path = value();
+      monitor_interval_ms = static_cast<long>(numeric(true));
     } else if (arg == "--help") {
       usage();
       return 0;
     } else {
-      std::fprintf(stderr, "unknown option '%s'\n\n", arg.c_str());
-      usage(stderr);
-      return 1;
+      return usage_error("unknown option '%s'", arg.c_str());
     }
   }
 
   if (!replay_path.empty()) {
     // Standalone mode: the trace defines the run; every other campaign
     // flag would contradict it.
-    if (grid_flags_used || !spec.spec_path.empty() || monitor || dry_run ||
+    if (grid_flags_used || !spec_path.empty() || monitor || dry_run ||
         list_only || list_faults || list_scenarios) {
-      std::fprintf(stderr, "--replay is standalone; drop the other flags\n\n");
-      usage(stderr);
-      return 1;
+      return usage_error("--replay is standalone; drop the other flags");
     }
     return replay_trace(replay_path);
   }
-  if (!emit_repro_path.empty() && scenario_name.empty()) {
-    std::fprintf(stderr, "--emit-repro requires --scenario\n\n");
-    usage(stderr);
-    return 1;
+  if (!emit_repro_path.empty() && grid.scenario.empty()) {
+    return usage_error("--emit-repro requires --scenario");
   }
-  if (!emit_repro_path.empty() && !strategy_name.empty()) {
-    std::fprintf(stderr,
-                 "--emit-repro minimizes a single static run; drop "
-                 "--strategy\n\n");
-    usage(stderr);
-    return 1;
+  if (!emit_repro_path.empty() && !grid.strategy.name.empty()) {
+    return usage_error(
+        "--emit-repro minimizes a single static run; drop --strategy");
   }
   if (monitor_interval_ms > 0 && !monitor) {
-    std::fprintf(stderr, "--monitor-interval-ms requires --monitor\n\n");
-    usage(stderr);
-    return 1;
+    return usage_error("--monitor-interval-ms requires --monitor");
   }
-  if (early_cancel && strategy_name.empty()) {
-    std::fprintf(stderr, "--early-cancel requires --strategy\n\n");
-    usage(stderr);
-    return 1;
+  if (opts.early_cancel && grid.strategy.name.empty()) {
+    return usage_error("--early-cancel requires --strategy");
   }
-
   // --spec supersedes the grid flags and owns the shard/resume machinery.
-  if (spec.spec_path.empty()) {
-    if (spec.shard_n > 1 || spec.merge_n > 0 || spec.resume ||
-        spec.batch_override != 0 || spec.crash_after != 0) {
-      std::fprintf(stderr,
-                   "--shard/--merge/--resume/--batch/--crash-after-batches "
-                   "require --spec\n\n");
-      usage(stderr);
-      return 1;
+  if (spec_path.empty()) {
+    if (opts.of > 1 || merge_n > 0 || opts.resume || opts.batch != 0 ||
+        crash_after != 0) {
+      return usage_error(
+          "--shard/--merge/--resume/--batch/--crash-after-batches require "
+          "--spec");
     }
-  } else {
-    if (grid_flags_used) {
-      std::fprintf(stderr,
-                   "--spec defines the campaign; drop "
-                   "--medium/--faults/--seed/--replicates/--duration-ms/"
-                   "--strategy\n\n");
-      usage(stderr);
-      return 1;
-    }
-    if (monitor || early_cancel || !bench_out_path.empty()) {
-      std::fprintf(stderr,
-                   "--monitor/--early-cancel/--bench-out are not supported "
-                   "with --spec\n\n");
-      usage(stderr);
-      return 1;
-    }
-    if ((spec.shard_n > 1 || spec.merge_n > 0 || spec.resume) &&
-        out_path.empty()) {
-      std::fprintf(stderr, "--shard/--merge/--resume require --out\n\n");
-      usage(stderr);
-      return 1;
-    }
-    if (spec.shard_n > 1 && spec.merge_n > 0) {
-      std::fprintf(stderr, "--shard and --merge are mutually exclusive\n\n");
-      usage(stderr);
-      return 1;
-    }
-    spec.out_path = out_path;
-    spec.workers = workers;
-    spec.snapshots = snapshots;
-    spec.timing = timing;
-    spec.dry_run = dry_run;
-    return run_spec(spec);
+  } else if (grid_flags_used) {
+    return usage_error(
+        "--spec defines the campaign; drop "
+        "--medium/--faults/--seed/--replicates/--duration-ms/--strategy");
+  } else if (monitor || opts.early_cancel || !bench_out_path.empty()) {
+    return usage_error(
+        "--monitor/--early-cancel/--bench-out are not supported with --spec");
+  } else if ((opts.of > 1 || merge_n > 0 || opts.resume) && opts.out.empty()) {
+    return usage_error("--shard/--merge/--resume require --out");
+  } else if (opts.of > 1 && merge_n > 0) {
+    return usage_error("--shard and --merge are mutually exclusive");
   }
 
-  if (list_scenarios) {
+  if (spec_path.empty() && list_scenarios) {
     for (const auto& s : scenario::list_scenarios()) {
       std::printf("%-15s %-8s %s\n", std::string(s.name).c_str(),
                   std::string(scenario::to_string(s.medium)).c_str(),
@@ -1153,8 +632,8 @@ int main(int argc, char** argv) {
     }
     return 0;
   }
-  if (list_only || list_faults) {
-    for (const auto& f : fault_axis_for(medium)) {
+  if (spec_path.empty() && (list_only || list_faults)) {
+    for (const auto& f : orchestrator::standard_fault_axis(grid.medium)) {
       if (list_faults) {
         std::printf("%-15s %s\n", f.name.c_str(), f.description.c_str());
       } else {
@@ -1164,290 +643,87 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  orchestrator::SweepSpec sweep;
-  sweep.name = medium == nftape::Medium::kFc ? "fc symbol sweep"
-                                             : "control-plane sweep";
-  sweep.base_seed = seed;
-  sweep.base.medium = medium;
-  sweep.replicates = replicates == 0 ? 1 : replicates;
-  // STOP/GO symbols originate mostly on the switch side (back-pressure
-  // toward the sender), so the from-switch direction is the interesting
-  // single-direction point. On FC the same pair covers R_RDY starvation
-  // (from-switch strips the credit returns node 0's sender lives on).
-  sweep.directions = {orchestrator::FaultDirection::kFromSwitch,
-                      orchestrator::FaultDirection::kBoth};
-  for (auto& f : fault_axis_for(medium)) {
-    if (!fault_filter.empty()) {
-      const std::string needle = "," + f.name + ",";
-      const std::string hay = "," + fault_filter + ",";
-      if (hay.find(needle) == std::string::npos) continue;
+  try {
+    const auto file = spec_path.empty()
+                          ? orchestrator::grid_campaign(grid, command_line)
+                          : orchestrator::load_campaign_file(spec_path);
+    if (!emit_repro_path.empty()) {
+      return emit_repro(file.targets.front().sweep, !grid.faults.empty(),
+                        emit_repro_path);
     }
-    sweep.faults.push_back(std::move(f));
-  }
-  if (sweep.faults.empty()) {
-    std::fprintf(stderr, "no faults selected (see --list)\n");
-    return 1;
-  }
-
-  apply_static_config(sweep);
-  sweep.base.duration = sim::milliseconds(duration_ms);
-
-  if (!scenario_name.empty()) {
-    const auto scen = scenario::find_scenario(scenario_name);
-    if (!scen) {
-      std::fprintf(stderr, "unknown scenario '%s' (see --list-scenarios)\n",
-                   scenario_name.c_str());
-      return 1;
-    }
-    if (!scenario::compatible(*scen, scenario_medium_for(medium))) {
+    if (file.strategy && (opts.of > 1 || merge_n > 0)) {
       std::fprintf(stderr,
-                   "scenario '%s' drives another medium's protocol objects; "
-                   "it cannot arm on %s\n",
-                   scenario_name.c_str(),
-                   std::string(nftape::to_string(medium)).c_str());
+                   "--shard/--merge apply to static campaigns; '%s' is "
+                   "steered by strategy %s\n",
+                   spec_path.c_str(), file.strategy->name.c_str());
       return 1;
     }
-    sweep.base.scenario = *scen;
-  }
-
-  if (!emit_repro_path.empty()) {
-    return emit_repro(std::move(sweep), !fault_filter.empty(),
-                      emit_repro_path);
-  }
-
-  // ---------------------------------------------------------------------
-  // Adaptive (closed-loop) path: the same fault plane, but a Strategy
-  // steers the udp-interval knob through the Controller round by round.
-  if (!strategy_name.empty()) {
-    adaptive::AdaptiveSpec aspec;
-    aspec.name = sweep.name + " [" + strategy_name + "]";
-    aspec.base = sweep.base;
-    aspec.testbed = sweep.testbed;
-    aspec.faults = sweep.faults;
-    aspec.directions = sweep.directions;
-    aspec.knob = nftape::Knob::kUdpIntervalUs;
-    aspec.base_seed = seed;
-    aspec.max_rounds = max_rounds;
-    adaptive::Controller controller(aspec, {});
-
-    // The intensity axis: datagram interval from the default full-capacity
-    // pace (12 us, most intense) out to a trickle (396 us). Smaller
-    // interval = more traffic = more faults manifest.
-    const double axis_lo = 12.0, axis_hi = 396.0;
-    std::unique_ptr<adaptive::Strategy> strategy;
-    if (strategy_name == "bisect") {
-      adaptive::BisectionConfig bc;
-      bc.lo = axis_lo;
-      bc.hi = axis_hi;
-      bc.tolerance = static_cast<double>(tolerance_us);
-      bc.higher_is_more_intense = false;
-      bc.min_manifested = 3;
-      strategy = std::make_unique<adaptive::BisectionStrategy>(
-          controller.cells(), bc);
-    } else if (strategy_name == "coverage") {
-      adaptive::CoverageConfig cc;
-      cc.knob_value = axis_lo;
-      cc.target_count = target_count;
-      cc.batch_replicates = replicates;
-      strategy =
-          std::make_unique<adaptive::CoverageStrategy>(controller.cells(), cc);
-    } else {  // fixed: today's grid through the controller
-      adaptive::FixedGridConfig fc;
-      fc.knob_values = {
-          sim::to_nanoseconds(sweep.base.workload.udp_interval) / 1000.0};
-      fc.replicates = replicates;
-      strategy = std::make_unique<adaptive::FixedGridStrategy>(
-          controller.cells(), fc);
-    }
-
     if (dry_run) {
-      const auto round0 = controller.expand_round(
-          strategy->next_round(0), 0, 0, strategy_name);
-      std::printf("dry run: %zu runs in round 0 (strategy %s)\n",
-                  round0.size(), strategy_name.c_str());
-      for (const auto& r : round0) {
-        std::printf("%zu %s seed=%llu round=%u\n", r.index,
-                    r.campaign.name.c_str(), (unsigned long long)r.seed,
-                    r.round);
-      }
+      print_plan(file, opts.shard, opts.of, spec_path.empty());
+      return 0;
+    }
+    if (merge_n > 0) {
+      const std::size_t merged = orchestrator::merge_shards(
+          orchestrator::expand_campaign(file), opts.out, merge_n);
+      std::fprintf(stderr, "merged %zu records from %u shards into %s\n",
+                   merged, merge_n, opts.out.c_str());
       return 0;
     }
 
-    adaptive::ControllerConfig cc;
-    cc.runner.workers = workers;
-    cc.runner.snapshots = snapshots;
-    cc.on_round = [](const adaptive::RoundSummary& s) {
-      std::fprintf(stderr, "round %u: %zu runs (%zu failed), %zu total\n",
-                   s.round, s.runs, s.failed, s.total_runs);
-    };
     // Streaming plane: --monitor attaches the live service behind the
     // feed; --early-cancel alone still needs the feed (live mode), just
     // without the table. Deterministic mode (no --early-cancel) leaves the
     // record stream byte-identical to an unmonitored campaign.
     monitor::MonitorService service;
     monitor::StreamingFeed feed(monitor ? &service : nullptr);
-    std::unique_ptr<IntervalRenderer> renderer;
-    if (monitor || early_cancel) {
-      cc.feed = &feed;
-      cc.early_cancel = early_cancel;
+    IntervalRenderer renderer(service, monitor_interval_ms);
+    if (monitor || opts.early_cancel) opts.feed = &feed;
+    if (monitor && monitor_interval_ms > 0) opts.sinks.push_back(&renderer);
+    if (crash_after > 0) {
+      opts.after_durable = [crash_after](const std::string& data_file,
+                                         std::uint64_t durable) {
+        if (durable >= crash_after) crash_torn(data_file);
+      };
     }
-    if (monitor && monitor_interval_ms > 0) {
-      renderer =
-          std::make_unique<IntervalRenderer>(service, monitor_interval_ms);
-      cc.runner.sinks.push_back(renderer.get());
-    }
-    adaptive::Controller live(aspec, std::move(cc));
+    opts.on_progress = [](const orchestrator::Progress& p) {
+      std::fprintf(stderr, "\r%zu/%zu done, %zu failed, %zu in flight   ",
+                   p.completed + p.failed, p.total, p.failed, p.in_flight);
+    };
+    opts.on_round = [](const std::string& target,
+                       const adaptive::RoundSummary& s) {
+      std::fprintf(stderr, "%s%sround %u: %zu runs (%zu failed), %zu total\n",
+                   target.c_str(), target.empty() ? "" : " ", s.round, s.runs,
+                   s.failed, s.total_runs);
+    };
 
     const auto start = std::chrono::steady_clock::now();
-    const auto outcome = live.run(*strategy);
+    const auto result = adaptive::execute_campaign(file, opts);
     const double total_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
 
-    std::ostringstream lines;
-    for (const auto& r : outcome.records) {
-      lines << orchestrator::to_jsonl(r, timing) << '\n';
-    }
-    if (out_path.empty()) {
-      std::fputs(lines.str().c_str(), stdout);
-    } else {
-      std::ofstream out(out_path);
-      if (!out) {
-        std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-        return 1;
+    // Records come back in run-index (static) or emission (strategy)
+    // order, so the output is deterministic and, without --timing,
+    // byte-identical for any --workers value.
+    if (opts.out.empty()) {
+      for (const auto& r : result.records) {
+        std::printf("%s\n", orchestrator::to_jsonl(r, opts.timing).c_str());
       }
-      out << lines.str();
     }
     if (!bench_out_path.empty() &&
-        !write_bench_out(bench_out_path, outcome.records, total_s)) {
+        !write_bench_out(bench_out_path, result.records, total_s)) {
       return 1;
     }
-
-    auto report = orchestrator::summarize(aspec.name, outcome.records);
-    report.add_note(nftape::cell(
-        "%u rounds, %s; %.1f s wall", outcome.rounds,
-        outcome.converged ? "converged" : "round/run cap reached", total_s));
-    std::fprintf(stderr, "\n%s", report.render().c_str());
-    auto cells = orchestrator::cell_summary("per-cell manifestation rates",
-                                            outcome.records);
-    if (strategy_name == "bisect") {
-      const auto& bisect =
-          static_cast<const adaptive::BisectionStrategy&>(*strategy);
-      const auto cell_list = live.cells();
-      for (std::size_t i = 0; i < cell_list.size(); ++i) {
-        const auto& t = bisect.thresholds()[i];
-        if (t.found && std::isnan(t.masked_at)) {
-          cells.add_note(nftape::cell(
-              "%s: the entire axis manifests (down to udp-us = %.6g, %zu runs)",
-              live.cell_name(cell_list[i]).c_str(), t.manifested_at, t.runs));
-        } else if (t.found) {
-          cells.add_note(nftape::cell(
-              "%s: manifests at udp-us <= %.6g (bracket %.6g..%.6g, %zu runs)",
-              live.cell_name(cell_list[i]).c_str(), t.manifested_at,
-              t.manifested_at, t.masked_at, t.runs));
-        } else {
-          cells.add_note(nftape::cell("%s: no manifestation on the axis",
-                                      live.cell_name(cell_list[i]).c_str()));
-        }
-      }
-    }
-    std::fprintf(stderr, "\n%s", cells.render().c_str());
-    if (monitor) {
-      std::fprintf(stderr, "\n%s",
-                   service.table("monitor (final)").render().c_str());
-    }
-
-    for (const auto& r : outcome.records) {
+    report(file, result, total_s, monitor ? &service : nullptr);
+    for (const auto& r : result.records) {
       if (r.outcome != orchestrator::RunOutcome::kOk &&
           r.outcome != orchestrator::RunOutcome::kSkipped) {
         return 2;
       }
     }
     return 0;
-  }
-
-  // ---------------------------------------------------------------------
-  // Static path: pre-expanded grid, unchanged record format.
-  const auto runs = orchestrator::expand(sweep);
-
-  if (dry_run) {
-    std::printf("dry run: %zu runs (%zu faults x %zu directions x %zu reps)\n",
-                runs.size(), sweep.faults.size(), sweep.directions.size(),
-                sweep.replicates);
-    for (const auto& r : runs) {
-      std::printf("%zu %s seed=%llu\n", r.index, r.campaign.name.c_str(),
-                  (unsigned long long)r.seed);
-    }
-    return 0;
-  }
-
-  orchestrator::RunnerConfig rc;
-  rc.workers = workers;
-  rc.snapshots = snapshots;
-  rc.on_progress = [](const orchestrator::Progress& p) {
-    std::fprintf(stderr, "\r%zu/%zu done, %zu failed, %zu in flight   ",
-                 p.completed + p.failed, p.total, p.failed, p.in_flight);
-  };
-  monitor::MonitorService service;
-  std::unique_ptr<IntervalRenderer> renderer;
-  if (monitor) {
-    rc.sinks.push_back(&service);
-    if (monitor_interval_ms > 0) {
-      renderer =
-          std::make_unique<IntervalRenderer>(service, monitor_interval_ms);
-      rc.sinks.push_back(renderer.get());
-    }
-  }
-  orchestrator::Runner runner(rc);
-
-  std::fprintf(stderr, "%zu runs (%zu faults x %zu directions x %zu reps)\n",
-               runs.size(), sweep.faults.size(), sweep.directions.size(),
-               sweep.replicates);
-  const auto start = std::chrono::steady_clock::now();
-  const auto records = runner.run_all(runs);
-  const double total_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  std::fprintf(stderr, "\n");
-
-  // Records come back indexed by run, so the file is deterministic (and,
-  // without --timing, byte-identical for any --workers value).
-  std::ostringstream lines;
-  for (const auto& r : records) {
-    lines << orchestrator::to_jsonl(r, timing) << '\n';
-  }
-  if (out_path.empty()) {
-    std::fputs(lines.str().c_str(), stdout);
-  } else {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
-      return 1;
-    }
-    out << lines.str();
-  }
-
-  if (!bench_out_path.empty() &&
-      !write_bench_out(bench_out_path, records, total_s)) {
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
     return 1;
   }
-
-  auto report = orchestrator::summarize(sweep.name, records);
-  report.add_note(nftape::cell("%.1f s wall, %.2f runs/s", total_s,
-                               static_cast<double>(records.size()) / total_s));
-  std::fprintf(stderr, "\n%s", report.render().c_str());
-  std::fprintf(stderr, "\n%s",
-               orchestrator::cell_summary("per-cell manifestation rates",
-                                          records)
-                   .render()
-                   .c_str());
-  if (monitor) {
-    std::fprintf(stderr, "\n%s",
-                 service.table("monitor (final)").render().c_str());
-  }
-
-  for (const auto& r : records) {
-    if (r.outcome != orchestrator::RunOutcome::kOk) return 2;
-  }
-  return 0;
 }

@@ -1,6 +1,7 @@
 #include "monitor/jsonl_reader.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 
@@ -102,7 +103,12 @@ bool parse_scalar_token(Cursor& c, std::string& token) {
 bool token_u64(const std::string& token, std::uint64_t& out) {
   if (token.empty() || token[0] == '-') return false;
   char* end = nullptr;
+  errno = 0;
   out = std::strtoull(token.c_str(), &end, 10);
+  // strtoull saturates an out-of-range value to ULLONG_MAX and reports it
+  // only through errno; a saturated round or run index is a different
+  // record, so reject it like JsonValue::as_u64 does.
+  if (errno == ERANGE) return false;
   // Fixed-decimal fields (loss_pct, window_ms) parse up to the '.'; the
   // monitor folds none of them as u64, but reject so a schema drift where
   // an integer field grows a fraction is caught instead of truncated.

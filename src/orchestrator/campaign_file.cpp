@@ -1,5 +1,6 @@
 #include "orchestrator/campaign_file.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -535,6 +536,77 @@ CampaignFile load_campaign_file(const std::string& path) {
   return parse_campaign_file(text.str());
 }
 
+void apply_grid_defaults(SweepSpec& sweep) {
+  sweep.testbed.map_period = sim::milliseconds(100);
+  sweep.testbed.nic_config.rx_processing_time = sim::microseconds(1);
+  sweep.testbed.send_stack_time = sim::microseconds(1);
+  // FC realization: drain receive buffers faster than the 12 us sequence
+  // pace so the healthy path never stalls on credits.
+  sweep.testbed.fc.rx_processing_time = sim::microseconds(1);
+  sweep.base.warmup = sim::milliseconds(10);
+  sweep.base.drain = sim::milliseconds(10);
+  // Full-capacity bursts (paper §4.2): collisions at the switch outputs
+  // engage STOP/GO flow control, so control-symbol faults have symbols to
+  // corrupt. Jitter makes the seed axis real — replicates differ.
+  sweep.base.workload.udp_interval = sim::microseconds(12);
+  sweep.base.workload.burst_size = 4;
+  sweep.base.workload.jitter = 0.5;
+  sweep.base.workload.payload_size = 256;
+}
+
+CampaignFile grid_campaign(const GridCampaign& grid,
+                           std::string_view identity) {
+  SweepSpec sweep;
+  sweep.name = grid.medium == nftape::Medium::kFc ? "fc symbol sweep"
+                                                  : "control-plane sweep";
+  sweep.base_seed = grid.seed;
+  sweep.base.medium = grid.medium;
+  sweep.replicates = std::max<std::size_t>(1, grid.replicates);
+  // STOP/GO symbols originate mostly on the switch side (back-pressure
+  // toward the sender), so the from-switch direction is the interesting
+  // single-direction point. On FC the same pair covers R_RDY starvation
+  // (from-switch strips the credit returns node 0's sender lives on).
+  sweep.directions = {FaultDirection::kFromSwitch, FaultDirection::kBoth};
+  for (auto& f : standard_fault_axis(grid.medium)) {
+    if (grid.faults.empty() || ("," + grid.faults + ",")
+                                       .find("," + f.name + ",") !=
+                                   std::string::npos) {
+      sweep.faults.push_back(std::move(f));
+    }
+  }
+  if (sweep.faults.empty()) {
+    throw CampaignFileError("no faults selected (see --list)");
+  }
+  apply_grid_defaults(sweep);
+  sweep.base.duration = sim::milliseconds(grid.duration_ms);
+  if (!grid.scenario.empty()) {
+    const auto scen = scenario::find_scenario(grid.scenario);
+    if (!scen) {
+      throw CampaignFileError("unknown scenario '" + grid.scenario +
+                              "' (see --list-scenarios)");
+    }
+    if (!scenario::compatible(*scen, grid.medium == nftape::Medium::kFc
+                                         ? scenario::Medium::kFc
+                                         : scenario::Medium::kMyrinet)) {
+      throw CampaignFileError(
+          "scenario '" + grid.scenario +
+          "' drives another medium's protocol objects; it cannot arm on " +
+          std::string(nftape::to_string(grid.medium)));
+    }
+    sweep.base.scenario = *scen;
+  }
+
+  CampaignFile file;
+  file.name = sweep.name;
+  file.base_seed = grid.seed;
+  file.checkpoint_batch =
+      sweep.faults.size() * sweep.directions.size() * sweep.replicates;
+  file.digest = fnv1a64(identity);
+  if (!grid.strategy.name.empty()) file.strategy = grid.strategy;
+  file.targets.push_back({"", std::move(sweep)});
+  return file;
+}
+
 std::vector<RunSpec> expand_campaign(const CampaignFile& file) {
   std::vector<RunSpec> all;
   for (const auto& target : file.targets) {
@@ -542,7 +614,9 @@ std::vector<RunSpec> expand_campaign(const CampaignFile& file) {
     const std::size_t offset = all.size();
     for (auto& run : runs) {
       run.index += offset;
-      run.campaign.name = target.name + ":" + run.campaign.name;
+      if (!target.name.empty()) {
+        run.campaign.name = target.name + ":" + run.campaign.name;
+      }
       all.push_back(std::move(run));
     }
   }

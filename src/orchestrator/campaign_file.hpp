@@ -47,7 +47,7 @@ class CampaignFileError : public std::runtime_error {
 
 /// The optional "strategy" block: which closed-loop strategy steers the
 /// campaign and its knobs. Data only — the orchestrator does not depend on
-/// src/adaptive; run_sweep interprets it.
+/// src/adaptive; adaptive::make_strategy interprets it.
 struct StrategySpec {
   std::string name;  ///< "fixed" | "bisect" | "coverage"
   nftape::Knob knob = nftape::Knob::kUdpIntervalUs;
@@ -66,7 +66,10 @@ struct StrategySpec {
 /// derive_seed(file seed, target ordinal), so targets draw disjoint seed
 /// streams no matter how the file is sliced across processes.
 struct CampaignTarget {
-  std::string name;  ///< no '/' or ':' (prefixed onto run names)
+  /// No '/' or ':' (prefixed onto run names). parse_campaign_file rejects
+  /// an empty name; only run_sweep's grid flags lower to an unnamed
+  /// target, whose run names carry no prefix.
+  std::string name;
   SweepSpec sweep;
 };
 
@@ -79,6 +82,34 @@ struct CampaignFile {
   std::optional<StrategySpec> strategy;
   std::uint64_t digest = 0;  ///< fnv1a64 of the source text
 };
+
+/// The grid campaign run_sweep's flags describe (everything --spec
+/// replaces): the medium's fault axis, filtered, × {from-switch, both} ×
+/// replicates at full-capacity load, optionally steered by a strategy.
+struct GridCampaign {
+  nftape::Medium medium = nftape::Medium::kMyrinet;
+  std::uint64_t seed = 1;
+  std::size_t replicates = 2;  ///< 0 runs one
+  long duration_ms = 60;
+  std::string faults;    ///< comma-separated filter; empty = the whole axis
+  std::string scenario;  ///< registry name armed on every run; empty = none
+  StrategySpec strategy;  ///< empty name = the static grid
+};
+
+/// The testbed and workload every grid campaign runs with (and a
+/// --replay rebuilds its run on): fast receive paths, a 10 ms warmup and
+/// drain, and 12 us bursts of four 256-byte jittered datagrams.
+void apply_grid_defaults(SweepSpec& sweep);
+
+/// Lowers `grid` to a campaign file with one unnamed target: run names
+/// carry no "<target>:" prefix and seeds derive from `grid.seed` itself,
+/// so its records are the ones the flags produced before they were
+/// lowered. The whole grid is one checkpoint batch, and `identity` (the
+/// command line) is the file's digest source. Throws CampaignFileError
+/// when the filter selects no fault, or on an unknown or wrong-medium
+/// scenario.
+[[nodiscard]] CampaignFile grid_campaign(const GridCampaign& grid,
+                                         std::string_view identity);
 
 /// Parses a campaign-spec document. Schema (all *_ms / *_us fields accept
 /// fractions; unknown keys anywhere are errors):
@@ -119,7 +150,8 @@ struct CampaignFile {
 /// The globally indexed run set: each target expanded in file order
 /// (orchestrator::expand), indices shifted to be campaign-global, run
 /// names prefixed "<target>:" (the colon keeps cell_key's
-/// fault/direction grouping intact: "myri:gap-go/both"). A pure function
+/// fault/direction grouping intact: "myri:gap-go/both"; an unnamed target
+/// adds no prefix). A pure function
 /// of the file, so every shard reconstructs the identical set.
 [[nodiscard]] std::vector<RunSpec> expand_campaign(const CampaignFile& file);
 

@@ -60,6 +60,11 @@ void JsonObject::add_bool(std::string_view k, bool value) {
   body_ += value ? "true" : "false";
 }
 
+void JsonObject::add_raw(std::string_view k, std::string_view json) {
+  key(k);
+  body_ += json;
+}
+
 void JsonObject::add_fixed(std::string_view k, double value, int decimals) {
   key(k);
   // JSON has no NaN/Infinity literals; printf would emit bare "nan"/"inf"

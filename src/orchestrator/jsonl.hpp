@@ -29,6 +29,9 @@ class JsonObject {
   /// Fixed-point decimal with `decimals` fractional digits — deterministic
   /// formatting, unlike shortest-round-trip double printing.
   void add_fixed(std::string_view key, double value, int decimals);
+  /// `json` inserted verbatim as the value (an array or object the caller
+  /// has already serialized, e.g. a list of JsonObject::str()).
+  void add_raw(std::string_view key, std::string_view json);
 
   /// The complete object, e.g. {"run":0,"outcome":"ok"}.
   [[nodiscard]] std::string str() const { return "{" + body_ + "}"; }

@@ -122,6 +122,57 @@ std::string dominant_class(const nftape::CampaignResult& result) {
   return std::string(analysis::to_string(which));
 }
 
+ReproTrace make_repro_trace(const SweepSpec& sweep, const RunRecord& record,
+                            std::string expect) {
+  ReproTrace trace;
+  trace.name = record.name;
+  trace.medium = sweep.base.medium;
+  trace.seed = sweep.base_seed;
+  trace.fault = sweep.faults.front().config ? sweep.faults.front().name : "";
+  trace.direction = sweep.directions.front();
+  trace.warmup = sweep.base.warmup;
+  trace.duration = sweep.base.duration;
+  trace.drain = sweep.base.drain;
+  trace.udp_interval = sweep.base.workload.udp_interval;
+  trace.payload_size = sweep.base.workload.payload_size;
+  trace.burst_size = sweep.base.workload.burst_size;
+  trace.jitter = sweep.base.workload.jitter;
+  trace.scenario = sweep.base.scenario.value_or(scenario::ScenarioSpec{});
+  trace.expect = std::move(expect);
+  trace.jsonl = to_jsonl(record, false);
+  return trace;
+}
+
+SweepSpec replay_sweep(const ReproTrace& trace, SweepSpec sweep) {
+  sweep.name = "replay";
+  sweep.base.medium = trace.medium;
+  sweep.base.warmup = trace.warmup;
+  sweep.base.duration = trace.duration;
+  sweep.base.drain = trace.drain;
+  sweep.base.workload.udp_interval = trace.udp_interval;
+  sweep.base.workload.payload_size = trace.payload_size;
+  sweep.base.workload.burst_size = trace.burst_size;
+  sweep.base.workload.jitter = trace.jitter;
+  sweep.base.scenario = trace.scenario;
+  sweep.base_seed = trace.seed;
+  sweep.directions = {trace.direction};
+  sweep.replicates = 1;
+  sweep.faults.clear();
+  if (trace.fault.empty()) {
+    sweep.faults = {{"baseline", std::nullopt, ""}};
+    return sweep;
+  }
+  for (auto& f : standard_fault_axis(trace.medium)) {
+    if (f.name == trace.fault) sweep.faults.push_back(std::move(f));
+  }
+  if (sweep.faults.empty()) {
+    throw CampaignFileError("trace fault '" + trace.fault + "' is not on the " +
+                            std::string(nftape::to_string(trace.medium)) +
+                            " axis");
+  }
+  return sweep;
+}
+
 std::string to_json(const ReproTrace& trace) {
   std::ostringstream out;
   out << "{\n";

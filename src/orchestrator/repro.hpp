@@ -16,6 +16,7 @@
 
 #include "nftape/campaign.hpp"
 #include "nftape/medium.hpp"
+#include "orchestrator/runner.hpp"
 #include "orchestrator/sweep.hpp"
 #include "scenario/scenario.hpp"
 
@@ -49,6 +50,20 @@ struct ReproTrace {
   /// byte (the sorted-JSONL determinism contract, applied to one run).
   std::string jsonl;
 };
+
+/// The trace of `record`, the one run of `sweep` (one fault, direction
+/// and replicate): medium, seed, fault, window, workload shape and the
+/// armed scenario come from the sweep, the name and the stored JSONL line
+/// from the record, and `expect` is the class a replay must reproduce.
+[[nodiscard]] ReproTrace make_repro_trace(const SweepSpec& sweep,
+                                          const RunRecord& record,
+                                          std::string expect);
+
+/// The one-run sweep that re-executes `trace`: every field the trace
+/// carries overrides `base`, which supplies the rest (testbed, workload
+/// defaults). Throws CampaignFileError when the trace's fault is not on
+/// its medium's standard_fault_axis.
+[[nodiscard]] SweepSpec replay_sweep(const ReproTrace& trace, SweepSpec base);
 
 /// Serializes the trace as one JSON document (trailing newline included).
 [[nodiscard]] std::string to_json(const ReproTrace& trace);

@@ -5,7 +5,9 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -46,7 +48,86 @@ std::string hex64(std::uint64_t v) {
   return buf;
 }
 
+/// Atomically replaces `path` with `text`: write "<path>.tmp", fsync,
+/// rename over, fsync the directory.
+void write_text_durable(const std::string& path, std::string_view text) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) bail_errno("open " + tmp);
+  std::size_t off = 0;
+  while (off < text.size()) {
+    const ssize_t n = ::write(fd, text.data() + off, text.size() - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      const int err = errno;
+      ::close(fd);
+      errno = err;
+      bail_errno("write " + tmp);
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  if (::fsync(fd) != 0) {
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    bail_errno("fsync " + tmp);
+  }
+  ::close(fd);
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    bail_errno("rename " + tmp + " -> " + path);
+  }
+  sync_parent_dir(path);
+}
+
 constexpr std::string_view kMagic = "hsfi-ckpt-v1";
+
+/// A sidecar document: nullopt when the file is absent; ShardError when it
+/// is not JSON or does not carry kMagic.
+std::optional<JsonValue> read_sidecar(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::string error;
+  auto doc = parse_json(text.str(), &error);
+  if (!doc) bail("corrupt checkpoint " + path + " (" + error + ")");
+  const auto* magic = doc->find("magic");
+  if (magic == nullptr || magic->kind != JsonValue::Kind::kString ||
+      magic->text != kMagic) {
+    bail("checkpoint " + path + " has wrong magic");
+  }
+  return doc;
+}
+
+[[noreturn]] void bad_field(const std::string& path, const char* key) {
+  bail("checkpoint " + path + " missing/bad field '" + key + "'");
+}
+
+std::uint64_t field_u64(const JsonValue& obj, const char* key,
+                        const std::string& path) {
+  std::uint64_t out = 0;
+  const auto* v = obj.find(key);
+  if (v == nullptr || !v->as_u64(out)) bad_field(path, key);
+  return out;
+}
+
+bool field_bool(const JsonValue& obj, const char* key,
+                const std::string& path) {
+  const auto* v = obj.find(key);
+  if (v == nullptr || v->kind != JsonValue::Kind::kBool) bad_field(path, key);
+  return v->boolean;
+}
+
+/// The "spec" field: exactly the 16 lowercase hex digits hex64 writes.
+std::uint64_t field_digest(const JsonValue& doc, const std::string& path) {
+  const auto* v = doc.find("spec");
+  if (v == nullptr || v->kind != JsonValue::Kind::kString ||
+      v->text.size() != 16 ||
+      v->text.find_first_not_of("0123456789abcdef") != std::string::npos) {
+    bad_field(path, "spec");
+  }
+  return std::strtoull(v->text.c_str(), nullptr, 16);
+}
 
 }  // namespace
 
@@ -75,74 +156,79 @@ std::string checkpoint_path(const std::string& shard_file) {
 }
 
 std::optional<Checkpoint> read_checkpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream text;
-  text << in.rdbuf();
-
-  std::string error;
-  const auto doc = parse_json(text.str(), &error);
-  if (!doc) bail("corrupt checkpoint " + path + " (" + error + ")");
-  const auto* magic = doc->find("magic");
-  if (magic == nullptr || magic->text != kMagic) {
-    bail("checkpoint " + path + " has wrong magic");
-  }
+  const auto doc = read_sidecar(path);
+  if (!doc) return std::nullopt;
   Checkpoint ckpt;
-  const auto u64 = [&](const char* key, std::uint64_t& out) {
-    const auto* v = doc->find(key);
-    if (v == nullptr || !v->as_u64(out)) {
-      bail("checkpoint " + path + " missing/bad field '" + key + "'");
-    }
+  ckpt.spec_digest = field_digest(*doc, path);
+  // shard/of are 32-bit: a wider value must not truncate into a layout
+  // that matches the resuming process.
+  const auto u32 = [&](const char* key) {
+    const std::uint64_t v = field_u64(*doc, key, path);
+    if (v > UINT32_MAX) bad_field(path, key);
+    return static_cast<std::uint32_t>(v);
   };
-  const auto* spec = doc->find("spec");
-  if (spec == nullptr || spec->kind != JsonValue::Kind::kString ||
-      spec->text.size() != 16) {
-    bail("checkpoint " + path + " missing/bad field 'spec'");
-  }
-  ckpt.spec_digest = std::strtoull(spec->text.c_str(), nullptr, 16);
-  std::uint64_t shard = 0, of = 0;
-  u64("shard", shard);
-  u64("of", of);
-  ckpt.shard = static_cast<std::uint32_t>(shard);
-  ckpt.of = static_cast<std::uint32_t>(of);
-  u64("batches", ckpt.batches);
-  u64("runs", ckpt.runs);
-  u64("bytes", ckpt.bytes);
-  const auto* done = doc->find("done");
-  if (done == nullptr || done->kind != JsonValue::Kind::kBool) {
-    bail("checkpoint " + path + " missing/bad field 'done'");
-  }
-  ckpt.done = done->boolean;
+  ckpt.shard = u32("shard");
+  ckpt.of = u32("of");
+  ckpt.batches = field_u64(*doc, "batches", path);
+  ckpt.runs = field_u64(*doc, "runs", path);
+  ckpt.bytes = field_u64(*doc, "bytes", path);
+  ckpt.done = field_bool(*doc, "done", path);
   return ckpt;
 }
 
-void write_text_durable(const std::string& path, std::string_view text) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) bail_errno("open " + tmp);
-  std::size_t off = 0;
-  while (off < text.size()) {
-    const ssize_t n = ::write(fd, text.data() + off, text.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      errno = err;
-      bail_errno("write " + tmp);
-    }
-    off += static_cast<std::size_t>(n);
+std::optional<AdaptiveCheckpoint> read_adaptive_checkpoint(
+    const std::string& path, std::uint64_t spec_digest, std::size_t targets) {
+  const auto doc = read_sidecar(path);
+  if (!doc) return std::nullopt;
+  const auto* mode = doc->find("mode");
+  if (mode == nullptr || mode->kind != JsonValue::Kind::kString ||
+      mode->text != "adaptive") {
+    bail("checkpoint " + path + " is not an adaptive campaign's sidecar");
   }
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    errno = err;
-    bail_errno("fsync " + tmp);
+  AdaptiveCheckpoint ckpt;
+  ckpt.spec_digest = field_digest(*doc, path);
+  if (ckpt.spec_digest != spec_digest) {
+    bail("checkpoint " + path +
+         " belongs to a different campaign spec — refusing to splice");
   }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    bail_errno("rename " + tmp + " -> " + path);
+  ckpt.bytes = field_u64(*doc, "bytes", path);
+  const auto* list = doc->find("targets");
+  if (list == nullptr || list->kind != JsonValue::Kind::kArray) {
+    bail("checkpoint " + path + " missing/bad field 'targets'");
   }
-  sync_parent_dir(path);
+  if (list->items.size() != targets) {
+    bail("checkpoint " + path + " has " + std::to_string(list->items.size()) +
+         " target cursors but the campaign has " + std::to_string(targets));
+  }
+  for (const auto& item : list->items) {
+    AdaptiveTargetCursor cursor;
+    cursor.rounds = field_u64(item, "rounds", path);
+    cursor.records = field_u64(item, "records", path);
+    cursor.done = field_bool(item, "done", path);
+    ckpt.targets.push_back(cursor);
+  }
+  return ckpt;
+}
+
+void write_adaptive_checkpoint(const std::string& path,
+                               const AdaptiveCheckpoint& ckpt) {
+  std::string targets = "[";
+  for (const auto& cursor : ckpt.targets) {
+    JsonObject t;
+    t.add_u64("rounds", cursor.rounds);
+    t.add_u64("records", cursor.records);
+    t.add_bool("done", cursor.done);
+    if (targets.size() > 1) targets += ',';
+    targets += t.str();
+  }
+  targets += ']';
+  JsonObject o;
+  o.add("magic", kMagic);
+  o.add("mode", "adaptive");
+  o.add("spec", hex64(ckpt.spec_digest));
+  o.add_u64("bytes", ckpt.bytes);
+  o.add_raw("targets", targets);
+  write_text_durable(path, o.str() + "\n");
 }
 
 void write_checkpoint(const std::string& path, const Checkpoint& ckpt) {

@@ -82,10 +82,37 @@ struct Checkpoint {
 /// "<path>.tmp", fsync, rename over, fsync the directory.
 void write_checkpoint(const std::string& path, const Checkpoint& ckpt);
 
-/// The same atomic tmp+fsync+rename replacement for arbitrary text —
-/// non-shard sidecars (the adaptive round checkpoint) share the durability
-/// path instead of reinventing it.
-void write_text_durable(const std::string& path, std::string_view text);
+/// One target's cursor in a strategy-steered campaign's sidecar.
+struct AdaptiveTargetCursor {
+  std::uint64_t rounds = 0;   ///< durable rounds (replayed on resume)
+  std::uint64_t records = 0;  ///< JSONL lines this target owns, in order
+  bool done = false;
+};
+
+/// The sidecar of a strategy-steered campaign: one unsharded data file
+/// whose records run target by target, round-major within a target. It
+/// is rewritten at every round barrier, after the data file's fsync, with
+/// the same magic, digest binding, and atomic replacement as Checkpoint,
+/// tagged "mode":"adaptive":
+///
+///   {"magic":"hsfi-ckpt-v1","mode":"adaptive","spec":"<16 hex>",
+///    "bytes":N,"targets":[{"rounds":R,"records":N,"done":false},...]}
+struct AdaptiveCheckpoint {
+  std::uint64_t spec_digest = 0;
+  std::uint64_t bytes = 0;  ///< data-file size at the last round barrier
+  std::vector<AdaptiveTargetCursor> targets;  ///< one per campaign target
+};
+
+/// Reads an adaptive sidecar. nullopt = file absent (fresh start). A
+/// present document throws ShardError when it is malformed, belongs to
+/// another spec (`spec_digest`), or does not hold exactly `targets`
+/// cursors.
+[[nodiscard]] std::optional<AdaptiveCheckpoint> read_adaptive_checkpoint(
+    const std::string& path, std::uint64_t spec_digest, std::size_t targets);
+
+/// Atomically replaces `path` with the adaptive sidecar line.
+void write_adaptive_checkpoint(const std::string& path,
+                               const AdaptiveCheckpoint& ckpt);
 
 /// Append-only writer over a POSIX fd with explicit durability. Opening
 /// truncates to `keep_bytes` first (crash recovery: everything past the

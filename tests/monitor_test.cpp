@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "adaptive/controller.hpp"
+#include "adaptive/execute.hpp"
 #include "adaptive/strategy.hpp"
 #include "analysis/accumulator.hpp"
 #include "monitor/drift.hpp"
@@ -322,7 +323,11 @@ struct AdaptiveOutput {
   std::uint64_t published = 0;
 };
 
-enum class Kind { kBisect, kCoverage };
+/// kBisect and kCoverage are the strategies a campaign file names, built
+/// by make_strategy. kBisectReplicated probes every midpoint `replicates`
+/// times and calls a probe manifested on its first manifested firing, so
+/// live mode has same-round replicates left to skip once one manifests.
+enum class Kind { kBisect, kCoverage, kBisectReplicated };
 
 AdaptiveOutput run_adaptive(Kind kind, std::size_t workers, bool with_feed,
                             bool early_cancel, std::size_t replicates = 2) {
@@ -338,7 +343,7 @@ AdaptiveOutput run_adaptive(Kind kind, std::size_t workers, bool with_feed,
   adaptive::Controller controller(spec, std::move(cc));
 
   std::unique_ptr<adaptive::Strategy> strategy;
-  if (kind == Kind::kBisect) {
+  if (kind == Kind::kBisectReplicated) {
     adaptive::BisectionConfig bc;
     bc.lo = 10.0;
     bc.hi = 90.0;
@@ -349,14 +354,19 @@ AdaptiveOutput run_adaptive(Kind kind, std::size_t workers, bool with_feed,
     strategy = std::make_unique<adaptive::BisectionStrategy>(
         controller.cells(), bc);
   } else {
-    adaptive::CoverageConfig cov;
-    cov.knob_value = 12.0;  // intense: dropped_other appears
-    cov.target_count = 2;
-    cov.batch_replicates = replicates;
-    cov.min_injections = 40;
-    cov.hopeless_rate = 0.1;
-    strategy = std::make_unique<adaptive::CoverageStrategy>(
-        controller.cells(), cov);
+    orchestrator::StrategySpec strat;
+    if (kind == Kind::kBisect) {
+      strat.name = "bisect";
+      strat.axis_lo = 10.0;
+      strat.axis_hi = 90.0;
+      strat.tolerance_us = 5.0;
+    } else {
+      strat.name = "coverage";
+      strat.axis_lo = 12.0;  // intense: dropped_other appears
+      strat.target_count = 2;
+    }
+    strategy = adaptive::make_strategy(strat, controller.cells(), replicates,
+                                       sim::microseconds(12));
   }
 
   const auto outcome = controller.run(*strategy);
@@ -402,7 +412,7 @@ TEST(StreamingAdaptive, EarlyCancelSkipsResolvedCells) {
   // midpoint replicate manifests (min_manifested = 1), the cell's
   // remaining replicates of that round must come back skipped.
   const auto live =
-      run_adaptive(Kind::kBisect, 1, true, true, /*replicates=*/6);
+      run_adaptive(Kind::kBisectReplicated, 1, true, true, /*replicates=*/6);
   EXPECT_GT(live.skipped, 0u)
       << "early-cancel never skipped anything despite resolved cells";
   // Skipped records still flow through the feed (they are real records).
@@ -553,6 +563,22 @@ TEST(JsonlReader, RejectsMalformedLines) {
           "{\"name\":\"a\",\"outcome\":\"ok\",\"injections\":\"abc\"}")
           .has_value())
       << "non-numeric token in a folded u64 field";
+}
+
+TEST(JsonlReader, RejectsOutOfRangeIntegers) {
+  // One past UINT64_MAX, and far past it: strtoull saturates both to
+  // UINT64_MAX, which must not pass for the written value.
+  for (const char* big : {"18446744073709551616", "99999999999999999999"}) {
+    const std::string line =
+        std::string("{\"name\":\"a\",\"outcome\":\"ok\",\"round\":") + big +
+        "}";
+    EXPECT_FALSE(monitor::parse_record(line).has_value()) << line;
+  }
+  // UINT64_MAX itself is representable and still parses.
+  const auto max = monitor::parse_record(
+      "{\"name\":\"a\",\"outcome\":\"ok\",\"round\":18446744073709551615}");
+  ASSERT_TRUE(max.has_value());
+  EXPECT_EQ(max->round, UINT64_MAX);
 }
 
 TEST(JsonlReader, TailerFollowsAGrowingShardFile) {

@@ -182,6 +182,108 @@ TEST(ShardTest, CheckpointAbsentIsFreshStartButCorruptIsFatal) {
   EXPECT_THROW((void)read_checkpoint(path), ShardError);
   std::ofstream(path) << "{\"magic\": \"something-else\"}\n";
   EXPECT_THROW((void)read_checkpoint(path), ShardError);
+  // of = 2^32 + 1 would truncate to 1 and pass for an unsharded layout.
+  std::ofstream(path) << R"({"magic":"hsfi-ckpt-v1","spec":"0000000000000011",)"
+                      << R"("shard":0,"of":4294967297,"batches":0,"runs":0,)"
+                      << R"("bytes":0,"done":false})" << "\n";
+  EXPECT_THROW((void)read_checkpoint(path), ShardError);
+}
+
+TEST(ShardTest, AdaptiveCheckpointRoundTrips) {
+  const std::string path = scratch("adaptive_roundtrip") + ".ckpt";
+  EXPECT_FALSE(read_adaptive_checkpoint(path, 1, 2).has_value())
+      << "an absent sidecar is a fresh start";
+  AdaptiveCheckpoint ckpt;
+  ckpt.spec_digest = 0x0123456789ABCDEFull;
+  ckpt.bytes = 4096;
+  ckpt.targets = {{3, 12, true}, {1, 4, false}};
+  write_adaptive_checkpoint(path, ckpt);
+  const auto back = read_adaptive_checkpoint(path, ckpt.spec_digest, 2);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->spec_digest, ckpt.spec_digest);
+  EXPECT_EQ(back->bytes, ckpt.bytes);
+  ASSERT_EQ(back->targets.size(), 2u);
+  EXPECT_EQ(back->targets[0].rounds, 3u);
+  EXPECT_EQ(back->targets[0].records, 12u);
+  EXPECT_TRUE(back->targets[0].done);
+  EXPECT_EQ(back->targets[1].rounds, 1u);
+  EXPECT_EQ(back->targets[1].records, 4u);
+  EXPECT_FALSE(back->targets[1].done);
+}
+
+/// Writes `text` as an adaptive sidecar and expects read_adaptive_checkpoint
+/// (spec digest 0x11, one target) to refuse it with `why` in the message.
+void expect_adaptive_sidecar_refused(const std::string& text,
+                                     const std::string& why) {
+  const std::string path = scratch("adaptive_tampered") + ".ckpt";
+  std::ofstream(path) << text;
+  try {
+    (void)read_adaptive_checkpoint(path, 0x11, 1);
+    ADD_FAILURE() << "accepted tampered sidecar: " << text;
+  } catch (const ShardError& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << e.what() << "\n  for: " << text;
+  }
+}
+
+TEST(ShardTest, AdaptiveCheckpointRejectsTampering) {
+  const std::string target = R"({"rounds":1,"records":2,"done":false})";
+  const auto doc = [&](const std::string& magic, const std::string& spec,
+                       const std::string& targets) {
+    return "{" + magic + R"("mode":"adaptive",)" + spec +
+           R"("bytes":10,"targets":)" + targets + "}\n";
+  };
+  const std::string magic = R"("magic":"hsfi-ckpt-v1",)";
+  const std::string spec = R"("spec":"0000000000000011",)";
+  const std::string one = "[" + target + "]";
+  // The untampered document is accepted, so each case below fails on
+  // exactly the field it changes.
+  {
+    const std::string path = scratch("adaptive_ok") + ".ckpt";
+    std::ofstream(path) << doc(magic, spec, one);
+    EXPECT_TRUE(read_adaptive_checkpoint(path, 0x11, 1).has_value());
+  }
+  expect_adaptive_sidecar_refused(doc("", spec, one), "wrong magic");
+  expect_adaptive_sidecar_refused(
+      doc(R"("magic":"hsfi-ckpt-v0",)", spec, one), "wrong magic");
+  expect_adaptive_sidecar_refused(doc(R"("magic":7,)", spec, one),
+                                  "wrong magic");
+  expect_adaptive_sidecar_refused(doc(magic, R"("spec":17,)", one),
+                                  "bad field 'spec'");
+  expect_adaptive_sidecar_refused(
+      doc(magic, R"("spec":"00000000000011",)", one), "bad field 'spec'");
+  expect_adaptive_sidecar_refused(
+      doc(magic, R"("spec":"00000000000000zz",)", one), "bad field 'spec'");
+  expect_adaptive_sidecar_refused(
+      doc(magic, R"("spec":"00000000000000ff",)", one),
+      "different campaign spec");
+  expect_adaptive_sidecar_refused(
+      doc(magic, spec, R"([{"rounds":1,"records":2,"done":"yes"}])"),
+      "bad field 'done'");
+  expect_adaptive_sidecar_refused(
+      doc(magic, spec, R"([{"rounds":1,"records":2,"done":0}])"),
+      "bad field 'done'");
+  expect_adaptive_sidecar_refused(
+      doc(magic, spec, R"([{"rounds":1,"records":2}])"), "bad field 'done'");
+  expect_adaptive_sidecar_refused(doc(magic, spec, "[]"),
+                                  "0 target cursors but the campaign has 1");
+  expect_adaptive_sidecar_refused(
+      doc(magic, spec, "[" + target + "," + target + "]"),
+      "2 target cursors but the campaign has 1");
+  // A static shard sidecar is not an adaptive one.
+  const std::string path = scratch("adaptive_static") + ".ckpt";
+  write_checkpoint(path, Checkpoint{0x11, 0, 1, 1, 1, 10, false});
+  EXPECT_THROW((void)read_adaptive_checkpoint(path, 0x11, 1), ShardError);
+}
+
+TEST(ShardTest, CheckpointSpecMustBeSixteenHexDigits) {
+  const std::string path = scratch("ckpt_spec") + ".ckpt";
+  for (const char* spec : {"17", "\"00000000000011\"", "\"000000000000001g\""}) {
+    std::ofstream(path) << R"({"magic":"hsfi-ckpt-v1","spec":)" << spec
+                        << R"(,"shard":0,"of":1,"batches":0,"runs":0,)"
+                        << R"("bytes":0,"done":false})" << "\n";
+    EXPECT_THROW((void)read_checkpoint(path), ShardError) << spec;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "adaptive/controller.hpp"
+#include "adaptive/execute.hpp"
 #include "adaptive/strategy.hpp"
 #include "fc/frame.hpp"
 #include "myrinet/control.hpp"
@@ -192,31 +193,15 @@ std::string run_adaptive_jsonl(const std::string& which, bool snapshots) {
   config.runner.snapshots = snapshots;
   adaptive::Controller controller(adaptive_spec(), std::move(config));
 
-  adaptive::CampaignOutcome outcome;
-  if (which == "fixed") {
-    adaptive::FixedGridConfig fc;
-    fc.knob_values = {12.0};
-    fc.replicates = 2;
-    adaptive::FixedGridStrategy strategy(controller.cells(), fc);
-    outcome = controller.run(strategy);
-  } else if (which == "bisect") {
-    adaptive::BisectionConfig bc;
-    bc.lo = 8.0;
-    bc.hi = 64.0;
-    bc.tolerance = 28.0;
-    bc.higher_is_more_intense = false;
-    adaptive::BisectionStrategy strategy(controller.cells(), bc);
-    outcome = controller.run(strategy);
-  } else {
-    adaptive::CoverageConfig cc;
-    cc.knob_value = 12.0;
-    cc.target_count = 1;
-    cc.batch_replicates = 2;
-    cc.min_injections = 16;
-    cc.hopeless_rate = 0.5;
-    adaptive::CoverageStrategy strategy(controller.cells(), cc);
-    outcome = controller.run(strategy);
-  }
+  orchestrator::StrategySpec strat;
+  strat.name = which;
+  strat.axis_lo = 8.0;
+  strat.axis_hi = 64.0;
+  strat.tolerance_us = 28.0;
+  strat.target_count = 1;
+  const auto strategy = adaptive::make_strategy(
+      strat, controller.cells(), /*replicates=*/2, sim::microseconds(12));
+  const auto outcome = controller.run(*strategy);
   EXPECT_FALSE(outcome.records.empty()) << which;
   std::string jsonl;
   for (const auto& rec : outcome.records) {
