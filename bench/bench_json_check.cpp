@@ -3,7 +3,8 @@
 // Exactly these five keys, in this order (the file is machine-written, so
 // ordering is part of the stable schema), at least one record, and every
 // (bench, metric) pair unique. Exit 0 on pass; nonzero with a message
-// naming the byte offset on any violation.
+// naming the byte offset (syntax) or record index (schema) on any
+// violation.
 //
 // Gate mode:  bench_json_check --gate BASELINE FRESH [--max-regress PCT]
 // schema-checks both files, then compares every events_per_sec_median the
@@ -14,191 +15,108 @@
 // no kernel events has nothing to compare). This is the CI tripwire that
 // keeps the batched symbol path from silently regressing.
 //
-// A hand-rolled validator because the container has no JSON library — and
-// the point is to fail when the writer drifts, not to accept all of JSON.
-#include <cctype>
+// The document is read by orchestrator::parse_json; this file checks only
+// the schema on top of it, so a drifted writer still fails here.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <set>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 
+#include "orchestrator/json_value.hpp"
+
 namespace {
 
-class Checker {
- public:
-  explicit Checker(std::string text) : text_(std::move(text)) {}
+using hsfi::orchestrator::JsonValue;
 
-  bool run() {
-    skip_ws();
-    if (!expect('[')) return false;
-    std::size_t records = 0;
-    skip_ws();
-    if (peek() != ']') {
-      do {
-        if (!record()) return false;
-        ++records;
-        skip_ws();
-      } while (consume(','));
-    }
-    if (!expect(']')) return false;
-    skip_ws();
-    if (pos_ != text_.size()) return fail("trailing data after array");
-    if (records == 0) return fail("no records");
-    return true;
-  }
+/// (bench, metric) -> value for every record of one file.
+using Values = std::map<std::pair<std::string, std::string>, double>;
 
-  /// (bench, metric) -> value for every record seen by run().
-  [[nodiscard]] const std::map<std::pair<std::string, std::string>, double>&
-  values() const noexcept {
-    return values_;
-  }
+bool fail(const std::string& why) {
+  std::fprintf(stderr, "schema violation: %s\n", why.c_str());
+  return false;
+}
 
- private:
-  [[nodiscard]] char peek() const {
-    return pos_ < text_.size() ? text_[pos_] : '\0';
+bool check_record(const JsonValue& rec, std::size_t index, Values& values) {
+  static const char* const kKeys[] = {"bench", "metric", "value", "unit",
+                                      "commit"};
+  const std::string where = "record " + std::to_string(index) + ": ";
+  if (rec.kind != JsonValue::Kind::kObject || rec.fields.size() != 5) {
+    return fail(where + "record must be {bench, metric, value, unit, commit}");
   }
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
+  std::string text[5];
+  double value = 0;
+  for (std::size_t i = 0; i < 5; ++i) {
+    const auto& [key, v] = rec.fields[i];
+    if (key != kKeys[i]) {
+      return fail(where + "expected key \"" + kKeys[i] + "\", got \"" + key +
+                  "\"; record must be {bench, metric, value, unit, commit}");
     }
+    if (i == 2) {
+      if (!v.as_double(value)) return fail(where + "expected a number");
+      continue;
+    }
+    if (v.kind != JsonValue::Kind::kString) {
+      return fail(where + "expected a string");
+    }
+    if (v.text.empty()) return fail(where + "empty string field in record");
+    text[i] = v.text;
   }
-  bool consume(char c) {
-    skip_ws();
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
+  if (!values.emplace(std::pair{text[0], text[1]}, value).second) {
+    return fail(where + "duplicate (bench, metric) pair: " + text[0] + "/" +
+                text[1]);
   }
-  bool expect(char c) {
-    if (consume(c)) return true;
-    std::ostringstream msg;
-    msg << "expected '" << c << "'";
-    return fail(msg.str());
-  }
-  bool fail(const std::string& why) {
-    std::fprintf(stderr, "schema violation at byte %zu: %s\n", pos_,
-                 why.c_str());
-    return false;
-  }
+  return true;
+}
 
-  /// JSON string; escapes pass through unvalidated beyond \" handling —
-  /// the writer only ever emits \" \\ \n and ASCII.
-  bool string_value(std::string* out) {
-    if (!expect('"')) return false;
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\\') {
-        if (++pos_ >= text_.size()) return fail("unterminated escape");
-      }
-      out->push_back(text_[pos_++]);
-    }
-    return expect('"');
+bool check_document(const std::string& text, Values& values) {
+  std::string error;
+  const auto doc = hsfi::orchestrator::parse_json(text, &error);
+  if (!doc) return fail(error);
+  if (doc->kind != JsonValue::Kind::kArray) {
+    return fail("document must be an array of records");
   }
-
-  bool number_value(double* out) {
-    skip_ws();
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    if (peek() == '.') {
-      ++pos_;
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    }
-    if (pos_ == start || text_[start] == '.') return fail("expected a number");
-    *out = std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
-    return true;
+  if (doc->items.empty()) return fail("no records");
+  for (std::size_t i = 0; i < doc->items.size(); ++i) {
+    if (!check_record(doc->items[i], i, values)) return false;
   }
+  return true;
+}
 
-  bool field(const char* name, std::string* out, double* num = nullptr) {
-    std::string key;
-    if (!string_value(&key)) return false;
-    if (key != name) {
-      return fail("expected key \"" + std::string(name) + "\", got \"" + key +
-                  "\"");
-    }
-    if (!expect(':')) return false;
-    return out != nullptr ? string_value(out) : number_value(num);
-  }
-
-  bool record() {
-    if (!expect('{')) return false;
-    std::string bench, metric, unit, commit;
-    double value = 0;
-    if (!field("bench", &bench) || !consume(',')) {
-      return fail("record must be {bench, metric, value, unit, commit}");
-    }
-    if (!field("metric", &metric) || !consume(',')) {
-      return fail("record must be {bench, metric, value, unit, commit}");
-    }
-    if (!field("value", nullptr, &value) || !consume(',')) {
-      return fail("record must be {bench, metric, value, unit, commit}");
-    }
-    if (!field("unit", &unit) || !consume(',')) {
-      return fail("record must be {bench, metric, value, unit, commit}");
-    }
-    if (!field("commit", &commit)) return false;
-    if (!expect('}')) return false;
-    if (bench.empty() || metric.empty() || unit.empty() || commit.empty()) {
-      return fail("empty string field in record");
-    }
-    if (!seen_.insert(bench + "\x1f" + metric).second) {
-      return fail("duplicate (bench, metric) pair: " + bench + "/" + metric);
-    }
-    values_[{bench, metric}] = value;
-    return true;
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-  std::set<std::string> seen_;
-  std::map<std::pair<std::string, std::string>, double> values_;
-};
-
-bool load_and_check(const char* path, Checker** out) {
+std::optional<Values> load_and_check(const char* path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "cannot open %s\n", path);
-    return false;
+    return std::nullopt;
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  auto* checker = new Checker(buffer.str());
-  if (!checker->run()) {
+  Values values;
+  if (!check_document(buffer.str(), values)) {
     std::fprintf(stderr, "%s: FAILED schema check\n", path);
-    delete checker;
-    return false;
+    return std::nullopt;
   }
-  *out = checker;
-  return true;
+  return values;
 }
 
 int gate(const char* baseline_path, const char* fresh_path,
          double max_regress_pct) {
-  Checker* baseline = nullptr;
-  Checker* fresh = nullptr;
-  if (!load_and_check(baseline_path, &baseline)) return 1;
-  if (!load_and_check(fresh_path, &fresh)) {
-    delete baseline;
-    return 1;
-  }
+  const auto baseline = load_and_check(baseline_path);
+  if (!baseline) return 1;
+  const auto fresh = load_and_check(fresh_path);
+  if (!fresh) return 1;
   const std::string metric = "events_per_sec_median";
   const double floor_factor = 1.0 - max_regress_pct / 100.0;
   std::size_t compared = 0;
   std::size_t regressed = 0;
-  for (const auto& [key, base_value] : baseline->values()) {
+  for (const auto& [key, base_value] : *baseline) {
     if (key.second != metric) continue;
-    const auto it = fresh->values().find(key);
-    if (it == fresh->values().end()) continue;  // bench not in this lane
+    const auto it = fresh->find(key);
+    if (it == fresh->end()) continue;  // bench not in this lane
     const double fresh_value = it->second;
     if (base_value <= 0 || fresh_value <= 0) continue;  // nothing measured
     ++compared;
@@ -209,8 +127,6 @@ int gate(const char* baseline_path, const char* fresh_path,
                 bad ? "  REGRESSION" : "");
     if (bad) ++regressed;
   }
-  delete baseline;
-  delete fresh;
   if (compared == 0) {
     std::fprintf(stderr, "gate: no comparable %s entries\n", metric.c_str());
     return 1;
@@ -258,9 +174,7 @@ int main(int argc, char** argv) {
                  "[--max-regress PCT]\n");
     return 2;
   }
-  Checker* checker = nullptr;
-  if (!load_and_check(argv[1], &checker)) return 1;
-  delete checker;
+  if (!load_and_check(argv[1])) return 1;
   std::printf("%s: ok\n", argv[1]);
   return 0;
 }

@@ -369,9 +369,10 @@ void print_plan(const orchestrator::CampaignFile& file, std::uint32_t shard,
   for (const auto& target : file.targets) {
     const adaptive::Controller controller(
         adaptive::adaptive_spec(file, target, 0));
+    const auto& workload = target.sweep.base.workload;
     const auto strategy = adaptive::make_strategy(
         *file.strategy, controller.cells(), target.sweep.replicates,
-        target.sweep.base.workload.udp_interval);
+        workload.udp_interval, workload.burst_size);
     const auto round0 = controller.expand_round(strategy->next_round(0), 0,
                                                 0, strategy->name());
     std::printf("%s: %zu runs in round 0 (strategy %s)\n",
@@ -410,15 +411,18 @@ void report(const orchestrator::CampaignFile& file,
     auto cells = orchestrator::cell_summary("per-cell manifestation rates",
                                             result.records);
     for (const auto& [cell, t] : result.thresholds) {
+      const nftape::Knob knob = file.strategy->knob;
+      const std::string name(nftape::to_string(knob));
       if (t.found && std::isnan(t.masked_at)) {
         cells.add_note(nftape::cell(
-            "%s: the entire axis manifests (down to udp-us = %.6g, %zu runs)",
-            cell.c_str(), t.manifested_at, t.runs));
+            "%s: the entire axis manifests (down to %s = %.6g, %zu runs)",
+            cell.c_str(), name.c_str(), t.manifested_at, t.runs));
       } else if (t.found) {
         cells.add_note(nftape::cell(
-            "%s: manifests at udp-us <= %.6g (bracket %.6g..%.6g, %zu runs)",
-            cell.c_str(), t.manifested_at, t.manifested_at, t.masked_at,
-            t.runs));
+            "%s: manifests at %s %s %.6g (bracket %.6g..%.6g, %zu runs)",
+            cell.c_str(), name.c_str(),
+            nftape::higher_is_more_intense(knob) ? ">=" : "<=",
+            t.manifested_at, t.manifested_at, t.masked_at, t.runs));
       } else {
         cells.add_note(
             nftape::cell("%s: no manifestation on the axis", cell.c_str()));

@@ -171,8 +171,7 @@ CampaignOutcome Controller::run(Strategy& strategy) {
   return run(strategy, {});
 }
 
-CampaignOutcome Controller::run(
-    Strategy& strategy, const std::vector<std::vector<ReplayRecord>>& replay) {
+CampaignOutcome Controller::run(Strategy& strategy, const Replay& replay) {
   CampaignOutcome outcome;
   // Runs accounted so far — replayed and executed. Replayed rounds are not
   // re-materialized in outcome.records, so indices/caps track this instead.
@@ -248,16 +247,17 @@ CampaignOutcome Controller::run(
                                "re-derives '" + runs[i].campaign.name +
                                "' — spec drift");
         }
-        if (!recorded[i].ok) ++summary.failed;
+        const bool ok = recorded[i].ok();
+        if (!ok) ++summary.failed;
         Observation obs;
         obs.request = requests[i];
         obs.round = round;
-        obs.ok = recorded[i].ok;
+        obs.ok = ok;
         obs.injections = recorded[i].injections;
         obs.duplicates = recorded[i].duplicates;
         obs.manifestations = recorded[i].manifestations;
         observations.push_back(obs);
-        outcome.cells.add_run(cell_name(requests[i].cell), recorded[i].ok,
+        outcome.cells.add_run(cell_name(requests[i].cell), ok,
                               recorded[i].manifestations,
                               recorded[i].injections, recorded[i].duplicates);
       }

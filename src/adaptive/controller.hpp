@@ -31,6 +31,7 @@
 
 #include "adaptive/strategy.hpp"
 #include "analysis/accumulator.hpp"
+#include "monitor/jsonl_reader.hpp"
 #include "nftape/campaign.hpp"
 #include "nftape/testbed.hpp"
 #include "orchestrator/runner.hpp"
@@ -150,16 +151,11 @@ struct CampaignOutcome {
   bool converged = false;
 };
 
-/// One previously executed run fed back on resume: just the fields a
-/// Strategy's Observation needs, plus the full run name for drift
-/// detection (monitor::parse_record recovers exactly these from JSONL).
-struct ReplayRecord {
-  std::string name;  ///< full run name, including any name_prefix
-  bool ok = false;
-  std::uint64_t injections = 0;
-  std::uint64_t duplicates = 0;
-  analysis::ManifestationBreakdown manifestations;
-};
+/// Previously executed runs fed back on resume, one vector per round: the
+/// records monitor::parse_record recovers from the durable JSONL. A
+/// Strategy's Observation needs their outcome, counters and breakdown; the
+/// full run name (including any name_prefix) detects drift.
+using Replay = std::vector<std::vector<monitor::ParsedRecord>>;
 
 /// Thrown when a replay does not match what the strategy re-derives —
 /// the spec changed since the checkpoint was written, or the JSONL was
@@ -184,8 +180,7 @@ class Controller {
   /// had just run; execution picks up at round replay.size(). Because
   /// strategies are pure functions of their observation history, the
   /// continuation is byte-identical to the uninterrupted campaign.
-  CampaignOutcome run(Strategy& strategy,
-                      const std::vector<std::vector<ReplayRecord>>& replay);
+  CampaignOutcome run(Strategy& strategy, const Replay& replay);
 
   /// All fault × direction cells of the spec's plane, in the order
   /// strategies index them (fault-major).

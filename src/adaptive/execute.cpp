@@ -71,8 +71,6 @@ ExecuteResult execute_static(const CampaignFile& file,
   return result;
 }
 
-using Replay = std::vector<std::vector<ReplayRecord>>;
-
 [[noreturn]] void tampered(const std::string& data_file,
                            const std::string& what) {
   throw ReplayMismatch("adaptive resume: " + data_file + " " + what +
@@ -105,7 +103,7 @@ std::vector<Replay> load_replay(const std::string& data_file,
       if (!std::getline(lines, line)) {
         tampered(data_file, "has fewer records than its checkpoint");
       }
-      const auto rec = monitor::parse_record(line);
+      auto rec = monitor::parse_record(line);
       if (!rec) tampered(data_file, "holds an unparseable record: " + line);
       const std::uint64_t seen = rounds.size();
       if (rec->round >= cursor.rounds ||
@@ -118,13 +116,7 @@ std::vector<Replay> load_replay(const std::string& data_file,
                      std::to_string(cursor.rounds) + " durable");
       }
       if (rec->round == seen) rounds.emplace_back();
-      ReplayRecord rr;
-      rr.name = rec->name;
-      rr.ok = rec->ok();
-      rr.injections = rec->injections;
-      rr.duplicates = rec->duplicates;
-      rr.manifestations = rec->manifestations;
-      rounds.back().push_back(std::move(rr));
+      rounds.back().push_back(std::move(*rec));
     }
     if (rounds.size() != cursor.rounds) {
       tampered(data_file, "covers " + std::to_string(rounds.size()) +
@@ -198,9 +190,10 @@ ExecuteResult execute_adaptive(const CampaignFile& file,
     Controller controller(adaptive_spec(file, target, index_base),
                           std::move(cc));
     const auto cells = controller.cells();
+    const auto& workload = target.sweep.base.workload;
     auto strategy =
         make_strategy(*file.strategy, cells, target.sweep.replicates,
-                      target.sweep.base.workload.udp_interval);
+                      workload.udp_interval, workload.burst_size);
     auto outcome = controller.run(*strategy, replays[ti]);
 
     const std::size_t emitted = outcome.replayed + outcome.records.size();
@@ -228,13 +221,14 @@ ExecuteResult execute_adaptive(const CampaignFile& file,
 std::unique_ptr<Strategy> make_strategy(const orchestrator::StrategySpec& spec,
                                         std::vector<Cell> cells,
                                         std::size_t replicates,
-                                        sim::Duration udp_interval) {
+                                        sim::Duration udp_interval,
+                                        std::size_t burst_size) {
   if (spec.name == "bisect") {
     BisectionConfig bc;
     bc.lo = spec.axis_lo;
     bc.hi = spec.axis_hi;
     bc.tolerance = spec.tolerance_us;
-    bc.higher_is_more_intense = false;
+    bc.higher_is_more_intense = nftape::higher_is_more_intense(spec.knob);
     bc.min_manifested = 3;
     return std::make_unique<BisectionStrategy>(std::move(cells), bc);
   }
@@ -247,7 +241,18 @@ std::unique_ptr<Strategy> make_strategy(const orchestrator::StrategySpec& spec,
   }
   if (spec.name == "fixed") {
     FixedGridConfig fg;
-    fg.knob_values = {sim::to_nanoseconds(udp_interval) / 1000.0};
+    switch (spec.knob) {
+      case nftape::Knob::kUdpIntervalUs:
+        fg.knob_values = {sim::to_nanoseconds(udp_interval) / 1000.0};
+        break;
+      case nftape::Knob::kBurstSize:
+        fg.knob_values = {static_cast<double>(burst_size)};
+        break;
+      case nftape::Knob::kSeuLfsrBits:
+        throw std::invalid_argument(
+            "strategy fixed has no base value for knob seu-bits (each "
+            "fault carries its own LFSR mask)");
+    }
     fg.replicates = replicates;
     return std::make_unique<FixedGridStrategy>(std::move(cells), fg);
   }

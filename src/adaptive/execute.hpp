@@ -23,12 +23,16 @@
 namespace hsfi::adaptive {
 
 /// The strategy `spec` names, over `cells`. `replicates` sizes a coverage
-/// round's per-cell batch and the fixed grid's replicates; `udp_interval`
-/// is the fixed grid's one knob value (the target's workload pace).
-/// Throws std::invalid_argument on an unknown strategy name.
+/// round's per-cell batch and the fixed grid's replicates. Bisection takes
+/// the intense end of its axis from the knob. `udp_interval` and
+/// `burst_size` are the target's workload: the fixed grid's one knob value
+/// is the field its knob sets (udp-us in microseconds, or burst). Throws
+/// std::invalid_argument on an unknown strategy name, and for fixed with
+/// seu-bits, which has no single base value.
 [[nodiscard]] std::unique_ptr<Strategy> make_strategy(
     const orchestrator::StrategySpec& spec, std::vector<Cell> cells,
-    std::size_t replicates, sim::Duration udp_interval);
+    std::size_t replicates, sim::Duration udp_interval,
+    std::size_t burst_size = 4);
 
 /// The controller plane of one target of a strategy-steered campaign.
 /// Run names carry the "<target>:" prefix (none for an unnamed target)

@@ -1,6 +1,7 @@
 #include "core/stats.hpp"
 
 #include <bit>
+#include <cassert>
 #include <cstdio>
 
 #include "myrinet/control.hpp"
@@ -29,12 +30,8 @@ void StreamStats::feed(link::Symbol s, sim::SimTime when) {
 }
 
 void StreamStats::feed_burst(const link::Burst& burst) {
-  const std::size_t n = burst.symbols.size();
-  if (!burst.has_view()) {
-    for (std::size_t i = 0; i < n; ++i) feed(burst.symbols[i], burst.arrival(i));
-    return;
-  }
-  counters_.characters += n;
+  assert(burst.has_view());
+  counters_.characters += burst.symbols.size();
   std::uint64_t ctl_count = 0;
   for (std::size_t w = 0; w < burst.ctl.size(); ++w) {
     std::uint64_t word = burst.ctl[w];

@@ -1,5 +1,6 @@
 #include "fc/port.hpp"
 
+#include <cassert>
 #include <utility>
 
 namespace hsfi::fc {
@@ -93,12 +94,7 @@ void FcPort::pump_tx() {
 }
 
 void FcPort::on_burst(const link::Burst& burst) {
-  if (!burst.has_view()) {
-    for (std::size_t i = 0; i < burst.symbols.size(); ++i) {
-      feed(burst.symbols[i], burst.arrival(i));
-    }
-    return;
-  }
+  assert(burst.has_view());
   // Batched scan over the SoA view: control symbols and partial ordered
   // sets go through the per-symbol feed (they carry all the protocol state
   // transitions); pure data runs inside a frame body append in bulk.

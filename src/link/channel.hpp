@@ -34,9 +34,9 @@ namespace hsfi::link {
 /// byte of every symbol, contiguous) and `ctl` (a bitmask, bit (i % 64) of
 /// ctl[i / 64] set when symbols[i] is a control character) filled, so batch
 /// consumers can scan control positions word-at-a-time and bulk-copy data
-/// runs without re-touching Symbol structs. Hand-built bursts (tests, ad
-/// hoc producers) may omit the view — sinks check has_view() and fall back
-/// to the AoS `symbols` path, which stays authoritative either way.
+/// runs without re-touching Symbol structs. The view is part of the
+/// on_burst contract (see SymbolSink); hand-built bursts call build_view()
+/// before handing one to a sink.
 struct Burst {
   sim::SimTime start = 0;      ///< arrival time of the first symbol's leading edge
   sim::Duration period = 0;    ///< character period
@@ -69,6 +69,8 @@ struct Burst {
 class SymbolSink {
  public:
   virtual ~SymbolSink() = default;
+  /// Precondition: burst.has_view() — Channel::deliver builds the view
+  /// before every call, so sinks scan `data`/`ctl` without a fallback.
   virtual void on_burst(const Burst& burst) = 0;
 };
 

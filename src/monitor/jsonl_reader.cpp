@@ -1,181 +1,39 @@
 #include "monitor/jsonl_reader.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
+
+#include "orchestrator/json_value.hpp"
 
 namespace hsfi::monitor {
 
-namespace {
-
-/// Byte cursor over one line. All helpers return false on malformed input
-/// and leave the caller to abandon the whole line.
-struct Cursor {
-  const char* p;
-  const char* end;
-
-  [[nodiscard]] bool done() const noexcept { return p >= end; }
-  [[nodiscard]] char peek() const noexcept { return *p; }
-  void skip_ws() {
-    while (!done() && (*p == ' ' || *p == '\t' || *p == '\r')) ++p;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (done() || *p != c) return false;
-    ++p;
-    return true;
-  }
-};
-
-int hex_digit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-/// Parses a quoted JSON string (cursor on the opening quote), undoing
-/// json_escape: standard short escapes plus \u00XX control characters.
-/// Non-BMP input never occurs (the emitter only writes \u00XX), but
-/// general \uXXXX is decoded to UTF-8 anyway so foreign JSONL parses too.
-bool parse_string(Cursor& c, std::string& out) {
-  if (!c.consume('"')) return false;
-  out.clear();
-  while (!c.done()) {
-    const char ch = *c.p++;
-    if (ch == '"') return true;
-    if (ch != '\\') {
-      out += ch;
-      continue;
-    }
-    if (c.done()) return false;
-    const char esc = *c.p++;
-    switch (esc) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case '/': out += '/'; break;
-      case 'b': out += '\b'; break;
-      case 'f': out += '\f'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (c.end - c.p < 4) return false;
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          const int d = hex_digit(*c.p++);
-          if (d < 0) return false;
-          code = code * 16 + static_cast<unsigned>(d);
-        }
-        if (code < 0x80) {
-          out += static_cast<char>(code);
-        } else if (code < 0x800) {
-          out += static_cast<char>(0xC0 | (code >> 6));
-          out += static_cast<char>(0x80 | (code & 0x3F));
-        } else {
-          out += static_cast<char>(0xE0 | (code >> 12));
-          out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-          out += static_cast<char>(0x80 | (code & 0x3F));
-        }
-        break;
-      }
-      default: return false;
-    }
-  }
-  return false;  // ran off the line inside the string
-}
-
-/// A number / null / bool value, returned as the raw token. Strings are
-/// handled separately so field dispatch can keep escapes intact.
-bool parse_scalar_token(Cursor& c, std::string& token) {
-  c.skip_ws();
-  token.clear();
-  while (!c.done()) {
-    const char ch = c.peek();
-    if (ch == ',' || ch == '}' || ch == ' ' || ch == '\t' || ch == '\r') break;
-    token += ch;
-    ++c.p;
-  }
-  return !token.empty();
-}
-
-bool token_u64(const std::string& token, std::uint64_t& out) {
-  if (token.empty() || token[0] == '-') return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoull(token.c_str(), &end, 10);
-  // strtoull saturates an out-of-range value to ULLONG_MAX and reports it
-  // only through errno; a saturated round or run index is a different
-  // record, so reject it like JsonValue::as_u64 does.
-  if (errno == ERANGE) return false;
-  // Fixed-decimal fields (loss_pct, window_ms) parse up to the '.'; the
-  // monitor folds none of them as u64, but reject so a schema drift where
-  // an integer field grows a fraction is caught instead of truncated.
-  return end == token.c_str() + token.size();
-}
-
-}  // namespace
-
 std::optional<ParsedRecord> parse_record(std::string_view line) {
-  Cursor c{line.data(), line.data() + line.size()};
-  if (!c.consume('{')) return std::nullopt;
+  using orchestrator::JsonValue;
+  const auto doc = orchestrator::parse_json(line);
+  if (!doc || doc->kind != JsonValue::Kind::kObject) return std::nullopt;
 
   ParsedRecord rec;
-  bool first = true;
-  for (;;) {
-    c.skip_ws();
-    if (c.done()) return std::nullopt;  // line ended before '}'
-    if (c.peek() == '}') {
-      ++c.p;
-      break;
-    }
-    if (!first && !c.consume(',')) return std::nullopt;
-    first = false;
-
-    std::string key;
-    if (!parse_string(c, key)) return std::nullopt;
-    if (!c.consume(':')) return std::nullopt;
-
-    std::uint64_t* dst = nullptr;
-    if (key == "run") dst = &rec.run;
-    else if (key == "seed") dst = &rec.seed;
-    else if (key == "round") dst = &rec.round;
-    else if (key == "injections") dst = &rec.injections;
-    else if (key == "duplicates") dst = &rec.duplicates;
-    else {
-      for (const auto m : analysis::all_manifestations()) {
-        if (key == analysis::jsonl_key(m)) {
-          dst = &rec.manifestations[m];
-          break;
-        }
-      }
-    }
-
-    c.skip_ws();
-    if (c.done()) return std::nullopt;
-    if (c.peek() == '"') {
-      // A string where a folded counter belongs is schema drift, not an
-      // ignorable extra — reject the line rather than silently dropping.
-      if (dst != nullptr) return std::nullopt;
-      std::string value;
-      if (!parse_string(c, value)) return std::nullopt;
-      if (key == "name") rec.name = std::move(value);
-      else if (key == "outcome") rec.outcome = std::move(value);
-      else if (key == "medium") rec.medium = std::move(value);
-      else if (key == "strategy") rec.strategy = std::move(value);
-      // unknown string fields (error, ...) are skipped
-      continue;
-    }
-    std::string token;
-    if (!parse_scalar_token(c, token)) return std::nullopt;
-    if (dst != nullptr && !token_u64(token, *dst)) return std::nullopt;
-    // other numeric fields (sent, loss_pct, wall_ms, null, ...) skipped
+  // An absent field keeps its default; a present one of the wrong type is
+  // schema drift, so the whole line is rejected rather than half-read.
+  const auto text = [&doc](std::string_view key, std::string& out) {
+    const JsonValue* v = doc->find(key);
+    if (v == nullptr) return true;
+    if (v->kind != JsonValue::Kind::kString) return false;
+    out = v->text;
+    return true;
+  };
+  const auto u64 = [&doc](std::string_view key, std::uint64_t& out) {
+    const JsonValue* v = doc->find(key);
+    return v == nullptr || v->as_u64(out);
+  };
+  bool ok = text("name", rec.name) && text("outcome", rec.outcome) &&
+            text("medium", rec.medium) && text("strategy", rec.strategy) &&
+            u64("run", rec.run) && u64("seed", rec.seed) &&
+            u64("round", rec.round) && u64("injections", rec.injections) &&
+            u64("duplicates", rec.duplicates);
+  for (const auto m : analysis::all_manifestations()) {
+    ok = ok && u64(analysis::jsonl_key(m), rec.manifestations[m]);
   }
-
-  c.skip_ws();
-  if (!c.done()) return std::nullopt;  // trailing garbage after '}'
-  if (rec.name.empty() || rec.outcome.empty()) return std::nullopt;
+  if (!ok || rec.name.empty() || rec.outcome.empty()) return std::nullopt;
   return rec;
 }
 

@@ -3,12 +3,10 @@
 // (orchestrator::to_jsonl), and a monitor on the other side of the file
 // tails it and folds each record into its streaming cells.
 //
-// Hand-rolled like the emission side (orchestrator/jsonl.hpp): records are
-// flat single-level objects with string and number values only, and the
-// container image carries no JSON library. The parser accepts exactly that
-// shape — it is not a general JSON parser — but it is strict about it:
-// malformed lines are rejected (nullopt), never half-ingested, so a torn
-// write at the tail of a live file cannot corrupt cell totals.
+// Each line goes through orchestrator::parse_json, the repo's one JSON
+// reader, and parse_record maps the object's folded fields. Malformed lines
+// are rejected (nullopt), never half-ingested, so a torn write at the tail
+// of a live file cannot corrupt cell totals.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +19,8 @@
 
 namespace hsfi::monitor {
 
-/// The fields of one parsed run record that the streaming cells fold.
+/// The fields of one parsed run record that the streaming cells fold and
+/// an adaptive resume replays (adaptive::Controller::run).
 /// Latency histograms are not serialized in JSONL, so tail-mode cells carry
 /// empty latency sketches — documented limitation of out-of-process feeds.
 struct ParsedRecord {
@@ -40,9 +39,9 @@ struct ParsedRecord {
 };
 
 /// Parses one JSONL record line (as produced by orchestrator::to_jsonl).
-/// Returns nullopt when the line is not a complete flat JSON object or a
-/// known field has the wrong type. Unknown fields are skipped, so the
-/// parser tolerates records from newer emitters.
+/// Returns nullopt when the line is not one complete JSON object, lacks a
+/// name or outcome, or a known field has the wrong type. Unknown fields are
+/// skipped, so the parser tolerates records from newer emitters.
 [[nodiscard]] std::optional<ParsedRecord> parse_record(std::string_view line);
 
 /// Incremental reader for a live JSONL file: each poll() picks up where the

@@ -1,5 +1,6 @@
 #include "myrinet/framing.hpp"
 
+#include <cassert>
 #include <utility>
 
 namespace hsfi::myrinet {
@@ -32,11 +33,8 @@ void Deframer::feed(link::Symbol symbol, sim::SimTime when) {
 }
 
 void Deframer::feed_burst(const link::Burst& burst) {
+  assert(burst.has_view());
   const std::size_t n = burst.symbols.size();
-  if (!burst.has_view()) {
-    for (std::size_t i = 0; i < n; ++i) feed(burst.symbols[i], burst.arrival(i));
-    return;
-  }
   std::size_t i = 0;
   while (i < n) {
     const std::size_t c = link::find_next_control(burst, i);

@@ -63,7 +63,7 @@ void Switch::on_burst(std::size_t port, const link::Burst& burst) {
   // Batched ingress: data runs between control symbols go into the slack
   // with one bulk insert each (the occupancy probe needs per-push samples,
   // so its presence forces the per-symbol path).
-  if (burst.has_view() && !p.slack->has_probe()) {
+  if (!p.slack->has_probe()) {
     std::size_t i = 0;
     while (i < n) {
       const std::size_t c = link::find_next_control(burst, i);

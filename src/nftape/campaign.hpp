@@ -117,6 +117,13 @@ enum class Knob : std::uint8_t {
 [[nodiscard]] std::string_view to_string(Knob k) noexcept;
 [[nodiscard]] std::optional<Knob> parse_knob(std::string_view s);
 
+/// The intense end of the knob's axis: true when larger values are more
+/// intense (kBurstSize), false when smaller ones are (kUdpIntervalUs,
+/// kSeuLfsrBits).
+[[nodiscard]] constexpr bool higher_is_more_intense(Knob k) noexcept {
+  return k == Knob::kBurstSize;
+}
+
 /// Applies `value` to the knob's field of `spec`. kSeuLfsrBits rewrites
 /// the lfsr_mask of every fault direction currently installed in the spec,
 /// so install faults first, then apply the knob.

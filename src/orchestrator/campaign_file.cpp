@@ -18,9 +18,21 @@ namespace {
 
 using myrinet::ControlSymbol;
 
+/// Every reader error is unprefixed here; parse_campaign_file names the
+/// document once at its boundary.
 [[noreturn]] void bail(const std::string& what) {
-  throw CampaignFileError("campaign file: " + what);
+  throw CampaignFileError(what);
 }
+
+/// Millisecond / microsecond fields accept fractions; everything lands on
+/// the picosecond Duration grid via nanoseconds, so "0.5" ms is exact.
+/// Values past about 100 days (or 1e999) do not fit its 64 bits.
+sim::Duration to_duration(double ns, const std::string& ctx) {
+  if (!(ns < 9e15)) bail(ctx + " is out of range");
+  return sim::nanoseconds(std::llround(ns));
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Typed field extraction with context-carrying errors.
@@ -42,23 +54,95 @@ std::uint64_t field_u64(const JsonValue& v, const std::string& ctx) {
   return out;
 }
 
-bool field_bool(const JsonValue& v, const std::string& ctx) {
-  if (v.kind != JsonValue::Kind::kBool) bail(ctx + " must be a boolean");
-  return v.boolean;
-}
-
-/// Millisecond / microsecond fields accept fractions; everything lands on
-/// the picosecond Duration grid via nanoseconds, so "0.5" ms is exact.
 sim::Duration field_ms(const JsonValue& v, const std::string& ctx) {
   const double ms = field_num(v, ctx);
   if (ms < 0) bail(ctx + " must be non-negative");
-  return sim::nanoseconds(std::llround(ms * 1e6));
+  return to_duration(ms * 1e6, ctx);
 }
 
 sim::Duration field_us(const JsonValue& v, const std::string& ctx) {
   const double us = field_num(v, ctx);
   if (us <= 0) bail(ctx + " must be positive");
-  return sim::nanoseconds(std::llround(us * 1e3));
+  return to_duration(us * 1e3, ctx);
+}
+
+scenario::ScenarioSpec parse_scenario(const JsonValue& v,
+                                      const std::string& ctx, bool registry) {
+  if (v.kind != JsonValue::Kind::kObject) bail(ctx + " must be an object");
+  scenario::ScenarioSpec spec;
+  const JsonValue* steps = nullptr;
+  std::string steps_ctx;
+  for (const auto& [key, value] : v.fields) {
+    const std::string fctx = ctx + "." + key;
+    if (key == "name") {
+      spec.name = field_str(value, fctx);
+    } else if (key == "steps") {
+      if (value.kind != JsonValue::Kind::kArray) {
+        bail(fctx + " must be an array of step objects");
+      }
+      steps = &value;
+      steps_ctx = fctx;
+    } else {
+      bail("unknown key '" + fctx + "'");
+    }
+  }
+  if (spec.name.empty()) bail(ctx + " needs a non-empty \"name\"");
+  if (steps == nullptr) {
+    if (!registry) bail(ctx + " needs a \"steps\" array");
+    const auto found = scenario::find_scenario(spec.name);
+    if (!found) {
+      bail(ctx + ": unknown scenario '" + spec.name +
+           "' (run_sweep --list-scenarios prints the registry; or define "
+           "\"steps\" inline)");
+    }
+    return *found;
+  }
+  if (steps->items.empty()) bail(steps_ctx + " must not be empty");
+  for (std::size_t i = 0; i < steps->items.size(); ++i) {
+    const auto& sv = steps->items[i];
+    const std::string sctx = steps_ctx + "[" + std::to_string(i) + "]";
+    if (sv.kind != JsonValue::Kind::kObject) bail(sctx + " must be an object");
+    scenario::Step step;
+    bool have_kind = false;
+    bool have_at = false;
+    for (const auto& [key, value] : sv.fields) {
+      const std::string fctx = sctx + "." + key;
+      if (key == "kind") {
+        const std::string k = field_str(value, fctx);
+        const auto parsed = scenario::parse_step_kind(k);
+        if (!parsed) bail(fctx + ": unknown step kind '" + k + "'");
+        step.kind = *parsed;
+        have_kind = true;
+      } else if (key == "at_ms") {
+        step.at = field_ms(value, fctx);
+        // Steps are window-relative; at 0 the firing would land exactly on
+        // window_begin, which finalize's (begin, end] window excludes.
+        if (step.at <= 0) bail(fctx + " must be positive");
+        have_at = true;
+      } else if (key == "node") {
+        const auto n = field_u64(value, fctx);
+        if (n > UINT32_MAX) bail(fctx + " is out of range");
+        step.node = static_cast<std::uint32_t>(n);
+      } else if (key == "count") {
+        const auto n = field_u64(value, fctx);
+        if (n == 0) bail(fctx + " must be positive");
+        step.count = n;
+      } else {
+        bail("unknown key '" + fctx + "'");
+      }
+    }
+    if (!have_kind) bail(sctx + " needs a \"kind\"");
+    if (!have_at) bail(sctx + " needs a positive \"at_ms\"");
+    spec.steps.push_back(step);
+  }
+  return spec;
+}
+
+namespace {
+
+bool field_bool(const JsonValue& v, const std::string& ctx) {
+  if (v.kind != JsonValue::Kind::kBool) bail(ctx + " must be a boolean");
+  return v.boolean;
 }
 
 // ---------------------------------------------------------------------------
@@ -140,78 +224,6 @@ GridPoint parse_grid_point(const JsonValue& v, const std::string& ctx) {
   return p;
 }
 
-/// The "scenario" block: a registry name alone resolves to the built-in
-/// step program; an explicit "steps" array defines a custom one. Medium
-/// compatibility is checked at resolve_target, where the medium is known.
-scenario::ScenarioSpec parse_scenario(const JsonValue& v,
-                                      const std::string& ctx) {
-  if (v.kind != JsonValue::Kind::kObject) bail(ctx + " must be an object");
-  scenario::ScenarioSpec spec;
-  const JsonValue* steps = nullptr;
-  std::string steps_ctx;
-  for (const auto& [key, value] : v.fields) {
-    const std::string fctx = ctx + "." + key;
-    if (key == "name") {
-      spec.name = field_str(value, fctx);
-    } else if (key == "steps") {
-      if (value.kind != JsonValue::Kind::kArray) {
-        bail(fctx + " must be an array of step objects");
-      }
-      steps = &value;
-      steps_ctx = fctx;
-    } else {
-      bail("unknown key '" + fctx + "'");
-    }
-  }
-  if (spec.name.empty()) bail(ctx + " needs a non-empty \"name\"");
-  if (steps == nullptr) {
-    const auto found = scenario::find_scenario(spec.name);
-    if (!found) {
-      bail(ctx + ": unknown scenario '" + spec.name +
-           "' (run_sweep --list-scenarios prints the registry; or define "
-           "\"steps\" inline)");
-    }
-    return *found;
-  }
-  if (steps->items.empty()) bail(steps_ctx + " must not be empty");
-  for (std::size_t i = 0; i < steps->items.size(); ++i) {
-    const auto& sv = steps->items[i];
-    const std::string sctx = steps_ctx + "[" + std::to_string(i) + "]";
-    if (sv.kind != JsonValue::Kind::kObject) bail(sctx + " must be an object");
-    scenario::Step step;
-    bool have_kind = false;
-    bool have_at = false;
-    for (const auto& [key, value] : sv.fields) {
-      const std::string fctx = sctx + "." + key;
-      if (key == "kind") {
-        const std::string k = field_str(value, fctx);
-        const auto parsed = scenario::parse_step_kind(k);
-        if (!parsed) bail(fctx + ": unknown step kind '" + k + "'");
-        step.kind = *parsed;
-        have_kind = true;
-      } else if (key == "at_ms") {
-        step.at = field_ms(value, fctx);
-        // Steps are window-relative; at 0 the firing would land exactly on
-        // window_begin, which finalize's (begin, end] window excludes.
-        if (step.at <= 0) bail(fctx + " must be positive");
-        have_at = true;
-      } else if (key == "node") {
-        step.node = static_cast<std::uint32_t>(field_u64(value, fctx));
-      } else if (key == "count") {
-        const auto n = field_u64(value, fctx);
-        if (n == 0) bail(fctx + " must be positive");
-        step.count = n;
-      } else {
-        bail("unknown key '" + fctx + "'");
-      }
-    }
-    if (!have_kind) bail(sctx + " needs a \"kind\"");
-    if (!have_at) bail(sctx + " needs a positive \"at_ms\"");
-    spec.steps.push_back(step);
-  }
-  return spec;
-}
-
 TargetSettings parse_target_settings(const JsonValue& v,
                                      const std::string& ctx) {
   if (v.kind != JsonValue::Kind::kObject) bail(ctx + " must be an object");
@@ -287,7 +299,7 @@ TargetSettings parse_target_settings(const JsonValue& v,
       if (grid.empty()) bail(fctx + " must not be empty");
       s.grid = std::move(grid);
     } else if (key == "scenario") {
-      s.scenario = parse_scenario(value, fctx);
+      s.scenario = parse_scenario(value, fctx, /*registry=*/true);
     } else {
       bail("unknown key '" + fctx + "'");
     }
@@ -325,6 +337,11 @@ StrategySpec parse_strategy(const JsonValue& v, const std::string& ctx) {
   if (s.name != "fixed" && s.name != "bisect" && s.name != "coverage") {
     bail(ctx + ".name must be fixed, bisect, or coverage, got '" + s.name +
          "'");
+  }
+  // fixed runs each target at its own workload's knob value, and the LFSR
+  // masks seu-bits sets belong to the faults, not to one base value.
+  if (s.name == "fixed" && s.knob == nftape::Knob::kSeuLfsrBits) {
+    bail(ctx + ".knob: strategy fixed has no base value for seu-bits");
   }
   return s;
 }
@@ -415,6 +432,63 @@ CampaignTarget resolve_target(const TargetSettings& s, std::size_t ordinal,
   return target;
 }
 
+CampaignFile parse_document(std::string_view text) {
+  std::string error;
+  const auto doc = parse_json(text, &error);
+  if (!doc) bail(error);
+  if (doc->kind != JsonValue::Kind::kObject) {
+    bail("document must be an object");
+  }
+
+  CampaignFile file;
+  file.digest = fnv1a64(text);
+  TargetSettings defaults;
+  const JsonValue* targets = nullptr;
+  for (const auto& [key, value] : doc->fields) {
+    if (key == "name") {
+      file.name = field_str(value, "name");
+    } else if (key == "seed") {
+      file.base_seed = field_u64(value, "seed");
+    } else if (key == "checkpoint_batch") {
+      const auto n = field_u64(value, "checkpoint_batch");
+      if (n == 0) bail("checkpoint_batch must be positive");
+      file.checkpoint_batch = static_cast<std::size_t>(n);
+    } else if (key == "defaults") {
+      defaults = parse_target_settings(value, "defaults");
+      if (defaults.name.has_value() || defaults.grid.has_value()) {
+        bail("defaults cannot set name or grid (per-target only)");
+      }
+    } else if (key == "targets") {
+      targets = &value;
+    } else if (key == "strategy") {
+      file.strategy = parse_strategy(value, "strategy");
+    } else {
+      bail("unknown key '" + key + "' at top level");
+    }
+  }
+  if (file.name.empty()) bail("\"name\" is required");
+  if (targets == nullptr || targets->kind != JsonValue::Kind::kArray ||
+      targets->items.empty()) {
+    bail("\"targets\" must be a non-empty array");
+  }
+  for (std::size_t i = 0; i < targets->items.size(); ++i) {
+    TargetSettings merged = defaults;
+    merged.apply(parse_target_settings(targets->items[i],
+                                       "targets[" + std::to_string(i) + "]"));
+    if (file.strategy.has_value() && merged.grid.has_value()) {
+      bail("targets cannot carry a grid when a strategy steers the campaign");
+    }
+    auto target = resolve_target(merged, i, file.base_seed);
+    for (const auto& existing : file.targets) {
+      if (existing.name == target.name) {
+        bail("duplicate target name '" + target.name + "'");
+      }
+    }
+    file.targets.push_back(std::move(target));
+  }
+  return file;
+}
+
 }  // namespace
 
 std::vector<FaultPoint> standard_fault_axis(nftape::Medium medium) {
@@ -472,65 +546,16 @@ std::uint64_t fnv1a64(std::string_view text) noexcept {
 }
 
 CampaignFile parse_campaign_file(std::string_view text) {
-  std::string error;
-  const auto doc = parse_json(text, &error);
-  if (!doc) bail(error);
-  if (doc->kind != JsonValue::Kind::kObject) {
-    bail("document must be an object");
+  try {
+    return parse_document(text);
+  } catch (const CampaignFileError& e) {
+    throw CampaignFileError(std::string("campaign file: ") + e.what());
   }
-
-  CampaignFile file;
-  file.digest = fnv1a64(text);
-  TargetSettings defaults;
-  const JsonValue* targets = nullptr;
-  for (const auto& [key, value] : doc->fields) {
-    if (key == "name") {
-      file.name = field_str(value, "name");
-    } else if (key == "seed") {
-      file.base_seed = field_u64(value, "seed");
-    } else if (key == "checkpoint_batch") {
-      const auto n = field_u64(value, "checkpoint_batch");
-      if (n == 0) bail("checkpoint_batch must be positive");
-      file.checkpoint_batch = static_cast<std::size_t>(n);
-    } else if (key == "defaults") {
-      defaults = parse_target_settings(value, "defaults");
-      if (defaults.name.has_value() || defaults.grid.has_value()) {
-        bail("defaults cannot set name or grid (per-target only)");
-      }
-    } else if (key == "targets") {
-      targets = &value;
-    } else if (key == "strategy") {
-      file.strategy = parse_strategy(value, "strategy");
-    } else {
-      bail("unknown key '" + key + "' at top level");
-    }
-  }
-  if (file.name.empty()) bail("\"name\" is required");
-  if (targets == nullptr || targets->kind != JsonValue::Kind::kArray ||
-      targets->items.empty()) {
-    bail("\"targets\" must be a non-empty array");
-  }
-  for (std::size_t i = 0; i < targets->items.size(); ++i) {
-    TargetSettings merged = defaults;
-    merged.apply(parse_target_settings(targets->items[i],
-                                       "targets[" + std::to_string(i) + "]"));
-    if (file.strategy.has_value() && merged.grid.has_value()) {
-      bail("targets cannot carry a grid when a strategy steers the campaign");
-    }
-    auto target = resolve_target(merged, i, file.base_seed);
-    for (const auto& existing : file.targets) {
-      if (existing.name == target.name) {
-        bail("duplicate target name '" + target.name + "'");
-      }
-    }
-    file.targets.push_back(std::move(target));
-  }
-  return file;
 }
 
 CampaignFile load_campaign_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) bail("cannot open '" + path + "'");
+  if (!in) throw CampaignFileError("campaign file: cannot open '" + path + "'");
   std::ostringstream text;
   text << in.rdbuf();
   return parse_campaign_file(text.str());

@@ -9,11 +9,13 @@
 // expanded run set, so N sharded processes that load the same spec agree
 // byte-for-byte on every run they partition between themselves.
 //
-// Parsing is strict in the monitor::parse_record tradition, but louder:
-// a record tailer skips unknown fields because the emitter may be newer,
-// while a campaign file is operator input — an unknown or mistyped key
-// means the operator's intent would be silently ignored, so it throws
-// CampaignFileError naming the key instead.
+// Parsing goes through orchestrator::parse_json, like every JSON the repo
+// reads, and is louder than the record tailer: monitor::parse_record skips
+// unknown fields because the emitter may be newer, while a campaign file is
+// operator input — an unknown or mistyped key means the operator's intent
+// would be silently ignored, so it throws CampaignFileError naming the key
+// instead. The typed field readers and the scenario-block parser below are
+// shared with the repro-trace reader (repro.hpp).
 #pragma once
 
 #include <cstdint>
@@ -25,7 +27,10 @@
 
 #include "nftape/campaign.hpp"
 #include "nftape/medium.hpp"
+#include "orchestrator/json_value.hpp"
 #include "orchestrator/sweep.hpp"
+#include "scenario/scenario.hpp"
+#include "sim/time.hpp"
 
 namespace hsfi::orchestrator {
 
@@ -33,6 +38,30 @@ class CampaignFileError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// Typed readers over one parsed value. `ctx` is the value's JSON path
+/// ("targets[2].replicates"); a value of the wrong type or range throws
+/// CampaignFileError naming it. The document readers prefix the message
+/// with the document kind at their boundary.
+[[nodiscard]] std::string field_str(const JsonValue& v, const std::string& ctx);
+[[nodiscard]] double field_num(const JsonValue& v, const std::string& ctx);
+[[nodiscard]] std::uint64_t field_u64(const JsonValue& v,
+                                      const std::string& ctx);
+/// Non-negative milliseconds / positive microseconds, fractions allowed,
+/// on the Duration grid; a value the grid cannot hold is refused.
+[[nodiscard]] sim::Duration field_ms(const JsonValue& v,
+                                     const std::string& ctx);
+[[nodiscard]] sim::Duration field_us(const JsonValue& v,
+                                     const std::string& ctx);
+
+/// A "scenario" block: {"name": ..., "steps": [{"kind", "at_ms", "node",
+/// "count"}, ...]} with kind known, at_ms and count positive, and no other
+/// keys. Without "steps", `registry` resolves the name against the built-in
+/// programs (scenario::find_scenario); otherwise the block is refused.
+/// Medium compatibility is the caller's to check.
+[[nodiscard]] scenario::ScenarioSpec parse_scenario(const JsonValue& v,
+                                                    const std::string& ctx,
+                                                    bool registry);
 
 /// The named fault axis for a medium — the axes run_sweep has always
 /// offered, promoted into the library so campaign files (and any other
@@ -50,6 +79,8 @@ class CampaignFileError : public std::runtime_error {
 /// src/adaptive; adaptive::make_strategy interprets it.
 struct StrategySpec {
   std::string name;  ///< "fixed" | "bisect" | "coverage"
+  /// The intensity axis bisect and coverage steer; fixed runs at the
+  /// target's own value of it, so fixed cannot take seu-bits.
   nftape::Knob knob = nftape::Knob::kUdpIntervalUs;
   /// The intensity axis endpoints (same defaults as the CLI: full-capacity
   /// 12 us pace out to a 396 us trickle).

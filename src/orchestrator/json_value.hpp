@@ -1,13 +1,12 @@
-// Strict document-level JSON parser for campaign-spec files and
-// checkpoint sidecars.
+// The one JSON reader: a strict recursive document parser behind every
+// file the repo reads back — campaign specs, checkpoint sidecars, repro
+// traces, the JSONL run records the monitor tails and an adaptive resume
+// replays, and the bench result files bench_json_check gates on.
 //
-// The monitor's record parser (monitor/jsonl_reader.hpp) deliberately
-// accepts only flat single-line objects; campaign files are nested
-// documents (targets, grids, strategy blocks), so they need a real
-// recursive parser. Same house rules, though: hand-rolled (the container
-// image carries no JSON library), and strict — duplicate object keys,
-// trailing garbage, and truncated documents are rejected outright rather
-// than papered over, so a drifted or torn spec can never half-load.
+// Hand-rolled (the container image carries no JSON library), and strict:
+// duplicate object keys, unknown escapes, raw control characters, trailing
+// garbage, and truncated documents are rejected outright rather than
+// papered over, so a drifted or torn input can never half-load.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,8 @@
 // Hand-rolled on purpose: records are flat (no nesting beyond one object
 // per line), field order must be stable so that sorted JSONL output is
 // byte-comparable across worker counts, and the container image carries no
-// JSON library. Only the emission half exists — the repo never parses JSON.
+// JSON library. The reading half is orchestrator::parse_json
+// (json_value.hpp); monitor::parse_record maps a parsed record back.
 #pragma once
 
 #include <cstdint>

@@ -17,30 +17,7 @@ namespace {
 constexpr std::string_view kMagic = "hsfi-repro-v1";
 
 [[noreturn]] void bail(const std::string& what) {
-  throw CampaignFileError("repro trace: " + what);
-}
-
-std::string field_str(const JsonValue& v, const std::string& ctx) {
-  if (v.kind != JsonValue::Kind::kString) bail(ctx + " must be a string");
-  return v.text;
-}
-
-std::uint64_t field_u64(const JsonValue& v, const std::string& ctx) {
-  std::uint64_t out = 0;
-  if (!v.as_u64(out)) bail(ctx + " must be a non-negative integer");
-  return out;
-}
-
-double field_num(const JsonValue& v, const std::string& ctx) {
-  double out = 0;
-  if (!v.as_double(out)) bail(ctx + " must be a number");
-  return out;
-}
-
-sim::Duration field_ms(const JsonValue& v, const std::string& ctx) {
-  const double ms = field_num(v, ctx);
-  if (ms < 0) bail(ctx + " must be non-negative");
-  return sim::nanoseconds(std::llround(ms * 1e6));
+  throw CampaignFileError(what);
 }
 
 /// Fixed-point formatting, like JsonObject::add_fixed: deterministic bytes
@@ -49,60 +26,6 @@ std::string fixed(double value, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", decimals, value);
   return buf;
-}
-
-scenario::ScenarioSpec parse_scenario_block(const JsonValue& v,
-                                            const std::string& ctx) {
-  if (v.kind != JsonValue::Kind::kObject) bail(ctx + " must be an object");
-  scenario::ScenarioSpec spec;
-  const JsonValue* steps = nullptr;
-  std::string steps_ctx;
-  for (const auto& [key, value] : v.fields) {
-    const std::string fctx = ctx + "." + key;
-    if (key == "name") {
-      spec.name = field_str(value, fctx);
-    } else if (key == "steps") {
-      if (value.kind != JsonValue::Kind::kArray) {
-        bail(fctx + " must be an array");
-      }
-      steps = &value;
-      steps_ctx = fctx;
-    } else {
-      bail("unknown key '" + fctx + "'");
-    }
-  }
-  if (spec.name.empty()) bail(ctx + " needs a non-empty \"name\"");
-  if (steps == nullptr || steps->items.empty()) {
-    bail(ctx + " needs a non-empty \"steps\" array");
-  }
-  for (std::size_t i = 0; i < steps->items.size(); ++i) {
-    const auto& sv = steps->items[i];
-    const std::string sctx = steps_ctx + "[" + std::to_string(i) + "]";
-    if (sv.kind != JsonValue::Kind::kObject) bail(sctx + " must be an object");
-    scenario::Step step;
-    bool have_kind = false;
-    for (const auto& [key, value] : sv.fields) {
-      const std::string fctx = sctx + "." + key;
-      if (key == "kind") {
-        const auto parsed = scenario::parse_step_kind(field_str(value, fctx));
-        if (!parsed) bail(fctx + ": unknown step kind");
-        step.kind = *parsed;
-        have_kind = true;
-      } else if (key == "at_ms") {
-        step.at = field_ms(value, fctx);
-      } else if (key == "node") {
-        step.node = static_cast<std::uint32_t>(field_u64(value, fctx));
-      } else if (key == "count") {
-        step.count = field_u64(value, fctx);
-      } else {
-        bail("unknown key '" + fctx + "'");
-      }
-    }
-    if (!have_kind) bail(sctx + " needs a \"kind\"");
-    if (step.at <= 0) bail(sctx + " needs a positive \"at_ms\"");
-    spec.steps.push_back(step);
-  }
-  return spec;
 }
 
 }  // namespace
@@ -209,7 +132,9 @@ std::string to_json(const ReproTrace& trace) {
   return out.str();
 }
 
-ReproTrace parse_repro_trace(std::string_view text) {
+namespace {
+
+ReproTrace parse_document(std::string_view text) {
   std::string error;
   const auto doc = parse_json(text, &error);
   if (!doc) bail(error);
@@ -253,9 +178,7 @@ ReproTrace parse_repro_trace(std::string_view text) {
     } else if (key == "drain_ms") {
       trace.drain = field_ms(value, "drain_ms");
     } else if (key == "udp_interval_us") {
-      const double us = field_num(value, "udp_interval_us");
-      if (us <= 0) bail("udp_interval_us must be positive");
-      trace.udp_interval = sim::nanoseconds(std::llround(us * 1e3));
+      trace.udp_interval = field_us(value, "udp_interval_us");
     } else if (key == "payload_size") {
       trace.payload_size =
           static_cast<std::size_t>(field_u64(value, "payload_size"));
@@ -265,7 +188,7 @@ ReproTrace parse_repro_trace(std::string_view text) {
     } else if (key == "jitter") {
       trace.jitter = field_num(value, "jitter");
     } else if (key == "scenario") {
-      trace.scenario = parse_scenario_block(value, "scenario");
+      trace.scenario = parse_scenario(value, "scenario", /*registry=*/false);
       have_scenario = true;
     } else if (key == "expect") {
       trace.expect = field_str(value, "expect");
@@ -282,9 +205,19 @@ ReproTrace parse_repro_trace(std::string_view text) {
   return trace;
 }
 
+}  // namespace
+
+ReproTrace parse_repro_trace(std::string_view text) {
+  try {
+    return parse_document(text);
+  } catch (const CampaignFileError& e) {
+    throw CampaignFileError(std::string("repro trace: ") + e.what());
+  }
+}
+
 ReproTrace load_repro_trace(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
-  if (!in) bail("cannot open '" + path + "'");
+  if (!in) throw CampaignFileError("repro trace: cannot open '" + path + "'");
   std::ostringstream text;
   text << in.rdbuf();
   return parse_repro_trace(text.str());

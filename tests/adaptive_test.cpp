@@ -555,14 +555,14 @@ TEST(ControllerTest, MaxTotalRunsSkipsWholeRounds) {
 // Checkpoint replay: a resumed campaign re-derives the replayed rounds,
 // verifies them, and continues byte-identically — or refuses on drift.
 
-std::vector<std::vector<ReplayRecord>> replay_prefix(
-    const std::vector<orchestrator::RunRecord>& records, std::uint32_t rounds) {
-  std::vector<std::vector<ReplayRecord>> replay(rounds);
+Replay replay_prefix(const std::vector<orchestrator::RunRecord>& records,
+                     std::uint32_t rounds) {
+  Replay replay(rounds);
   for (const auto& rec : records) {
     if (rec.round >= rounds) continue;
-    ReplayRecord r;
+    monitor::ParsedRecord r;
     r.name = rec.name;
-    r.ok = rec.outcome == orchestrator::RunOutcome::kOk;
+    r.outcome = orchestrator::to_string(rec.outcome);
     r.injections = rec.result.injections;
     r.duplicates = rec.result.duplicates();
     r.manifestations = rec.result.manifestations;
@@ -571,8 +571,7 @@ std::vector<std::vector<ReplayRecord>> replay_prefix(
   return replay;
 }
 
-CampaignOutcome run_bisect(const std::vector<std::vector<ReplayRecord>>& replay,
-                           std::size_t workers = 4) {
+CampaignOutcome run_bisect(const Replay& replay, std::size_t workers = 4) {
   ControllerConfig config;
   config.runner.workers = workers;
   config.runner.executor = synthetic_executor;

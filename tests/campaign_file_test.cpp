@@ -318,6 +318,26 @@ TEST(CampaignFileTest, StrategyBlockParses) {
   EXPECT_EQ(file.strategy->target_count, 3u);
 }
 
+TEST(CampaignFileTest, FixedStrategyRefusesTheSeuBitsKnob) {
+  // fixed runs at the target's own value of its knob; the LFSR masks
+  // seu-bits sets belong to the faults, so there is no such value.
+  try {
+    (void)parse_campaign_file(R"({
+      "name": "x", "strategy": {"name": "fixed", "knob": "seu-bits"},
+      "targets": [{"faults": ["gap-go"]}]})");
+    FAIL() << "accepted fixed + seu-bits";
+  } catch (const CampaignFileError& e) {
+    EXPECT_NE(std::string(e.what()).find("strategy.knob"), std::string::npos)
+        << e.what();
+  }
+  for (const char* knob : {"udp-us", "burst"}) {
+    const auto file = parse_campaign_file(
+        std::string(R"({"name": "x", "strategy": {"name": "fixed", "knob": ")") +
+        knob + R"("}, "targets": [{"faults": ["gap-go"]}]})");
+    EXPECT_EQ(nftape::to_string(file.strategy->knob), knob);
+  }
+}
+
 TEST(CampaignFileTest, DigestBindsCheckpointsToTheExactText) {
   const std::string text =
       R"({"name": "x", "targets": [{"medium": "myrinet"}]})";

@@ -7,6 +7,7 @@
 // file names.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -236,6 +237,71 @@ TEST(ExecuteCampaign, MakeStrategyBuildsTheNamedStrategy) {
   EXPECT_DOUBLE_EQ(probes[1].knob_value, spec.axis_lo);
   spec.name = "greedy";
   EXPECT_THROW((void)make_strategy(spec, cells, 3, sim::microseconds(12)),
+               std::invalid_argument);
+}
+
+TEST(ExecuteCampaign, BurstBisectionBracketsAtTheIntenseHighEnd) {
+  // Larger bursts are more intense: a cell that manifests from burst 6 up
+  // must bracket its threshold between a masked value below 6 and a
+  // manifested one at or above it.
+  orchestrator::StrategySpec spec;
+  spec.name = "bisect";
+  spec.knob = nftape::Knob::kBurstSize;
+  spec.axis_lo = 1;
+  spec.axis_hi = 16;
+  spec.tolerance_us = 1;
+  const auto strategy = make_strategy(spec, {{0, 0}}, 1, sim::microseconds(12));
+  const auto* bisect = dynamic_cast<const BisectionStrategy*>(strategy.get());
+  ASSERT_NE(bisect, nullptr);
+  for (std::uint32_t round = 0; round < 16; ++round) {
+    const auto requests = strategy->next_round(round);
+    if (requests.empty()) break;
+    std::vector<Observation> results;
+    for (const auto& req : requests) {
+      Observation obs;
+      obs.request = req;
+      obs.round = round;
+      obs.ok = true;
+      obs.injections = 8;
+      obs.manifestations[analysis::Manifestation::kMasked] =
+          req.knob_value >= 6 ? 0 : 8;
+      obs.manifestations[analysis::Manifestation::kDroppedOther] =
+          req.knob_value >= 6 ? 8 : 0;
+      results.push_back(obs);
+    }
+    strategy->observe(results);
+  }
+  const CellThreshold& t = bisect->thresholds().at(0);
+  ASSERT_TRUE(t.found);
+  ASSERT_FALSE(std::isnan(t.masked_at)) << "burst 1 masks in this model";
+  EXPECT_LT(t.masked_at, 6.0);
+  EXPECT_GE(t.manifested_at, 6.0);
+  EXPECT_LE(t.manifested_at - t.masked_at, 1.0);
+}
+
+TEST(ExecuteCampaign, FixedBurstRunsAtTheTargetsBurstSize) {
+  const CampaignFile file = parse_campaign_file(R"({
+    "name": "fixed-burst",
+    "strategy": {"name": "fixed", "knob": "burst"},
+    "targets": [{"name": "myri", "faults": ["gap-go"], "burst_size": 6,
+                 "udp_interval_us": 20, "directions": ["both"]}]})");
+  const auto& target = file.targets.at(0);
+  const Controller controller(adaptive_spec(file, target, 0));
+  const auto& workload = target.sweep.base.workload;
+  const auto strategy =
+      make_strategy(*file.strategy, controller.cells(), 1,
+                    workload.udp_interval, workload.burst_size);
+  const auto runs = controller.expand_round(strategy->next_round(0), 0, 0,
+                                            strategy->name());
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_EQ(runs[0].campaign.name, "myri:gap-go/both/burst=6/r0");
+  EXPECT_EQ(runs[0].campaign.workload.burst_size, 6u);
+  EXPECT_EQ(runs[0].campaign.workload.udp_interval, sim::microseconds(20));
+
+  orchestrator::StrategySpec seu = *file.strategy;
+  seu.knob = nftape::Knob::kSeuLfsrBits;
+  EXPECT_THROW((void)make_strategy(seu, controller.cells(), 1,
+                                   workload.udp_interval, workload.burst_size),
                std::invalid_argument);
 }
 
