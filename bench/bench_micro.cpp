@@ -2,8 +2,9 @@
 // Myrinet CRC-8 (recomputed per hop per byte), the FC CRC-32, the 8b/10b
 // codec (one invocation per transmitted character), the FIFO injector's
 // per-character clock, the UDP one's-complement checksum, the event
-// queue under a campaign-shaped schedule/cancel/pop mix, and the SoA view
-// every delivered burst derives from its symbols.
+// queue under a campaign-shaped schedule/cancel/pop mix, one channel
+// transmit-to-delivery round trip, and the SoA view every delivered burst
+// derives from its symbols.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -16,6 +17,7 @@
 #include "myrinet/crc8.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 
@@ -168,6 +170,38 @@ void BM_EventQueueMix(benchmark::State& state) {
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_EventQueueMix);
+
+// One channel transmit of range(0) symbols and its delivery: the FIFO push,
+// the scheduled delivery event, the pop into the delivery scratch, the SoA
+// view, and the sink call. Arg 1 is the injector's drain-tick burst, 2 a
+// flow-control pair, 64 a forwarded packet body. The sink only reads.
+void BM_ChannelTransmitDeliver(benchmark::State& state) {
+  struct TouchSink final : hsfi::link::SymbolSink {
+    void on_burst(const hsfi::link::Burst& burst) override {
+      benchmark::DoNotOptimize(burst.data.data());
+      benchmark::DoNotOptimize(burst.ctl.data());
+    }
+  };
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<hsfi::link::Symbol> symbols;
+  for (std::size_t i = 0; i < n; ++i) {
+    symbols.push_back(hsfi::link::Symbol{static_cast<std::uint8_t>(i * 37),
+                                         i % 8 == 7});
+  }
+  hsfi::sim::Simulator simulator;
+  hsfi::link::Channel channel(simulator, "ch",
+                              hsfi::sim::picoseconds(12'500),
+                              hsfi::sim::nanoseconds(5));
+  TouchSink sink;
+  channel.attach(sink);
+  for (auto _ : state) {
+    channel.transmit(symbols);
+    simulator.step();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_ChannelTransmitDeliver)->Arg(1)->Arg(2)->Arg(64);
 
 // Burst::build_view on a burst of range(0) symbols, one in eight a control
 // character. Arg 1 is the injector's drain-tick burst; 2048 a long FC frame

@@ -234,7 +234,9 @@ std::unique_ptr<Strategy> make_strategy(const orchestrator::StrategySpec& spec,
   }
   if (spec.name == "coverage") {
     CoverageConfig cc;
-    cc.knob_value = spec.axis_lo;
+    // Explore at the axis's intense end, whichever end that is for the knob.
+    cc.knob_value = nftape::higher_is_more_intense(spec.knob) ? spec.axis_hi
+                                                              : spec.axis_lo;
     cc.target_count = spec.target_count;
     cc.batch_replicates = replicates;
     return std::make_unique<CoverageStrategy>(std::move(cells), cc);

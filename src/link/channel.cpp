@@ -81,7 +81,14 @@ Channel::Channel(sim::Simulator& simulator, std::string name,
     : simulator_(simulator),
       name_(std::move(name)),
       character_period_(character_period),
-      propagation_delay_(propagation_delay) {}
+      propagation_delay_(propagation_delay) {
+  scratch_.period = character_period_;
+}
+
+Channel::~Channel() {
+  // The scratch's own deallocation must not run against poisoned storage.
+  unpoison_capacity(scratch_.symbols);
+}
 
 sim::SimTime Channel::transmit(std::span<const Symbol> symbols) {
   if (symbols.empty()) return simulator_.now();
@@ -97,42 +104,29 @@ sim::SimTime Channel::transmit(std::span<const Symbol> symbols) {
   }
   if (sink_ == nullptr) return tx_free_at_;
 
-  std::vector<Symbol> buffer = pool_.acquire();
-  buffer.assign(symbols.begin(), symbols.end());
-
   // Deliver when the *first* symbol's trailing edge arrives; the sink uses
-  // Burst::arrival() for per-symbol times within the burst. The closure owns
-  // the symbol payload by value (snapshots deep-copy pending actions, so a
-  // forked run replays the delivery from its own copy); the SoA view is
-  // derived at fire time in deliver() from channel-owned scratch, keeping
-  // the capture small enough for the Action's inline buffer. The symbol
-  // buffer goes back on the freelist as soon as on_burst returns (see the
-  // Burst lifetime contract in channel.hpp).
+  // Burst::arrival() for per-symbol times within the burst. The payload
+  // waits in the channel's FIFO and the event carries only its count, so
+  // the capture is trivially copyable (snapshots clone it for free) and
+  // steady-state traffic allocates nothing once the FIFO is warm.
+  in_flight_.push(symbols);
   SymbolSink* sink = sink_;
   const sim::SimTime arrive = start + propagation_delay_;
   simulator_.schedule_at(arrive + character_period_,
-                         [this, sink, arrive, buf = std::move(buffer)]() mutable {
-                           deliver(sink, arrive, std::move(buf));
+                         [this, sink, arrive, count = symbols.size()] {
+                           deliver(sink, arrive, count);
                          });
   return tx_free_at_;
 }
 
 void Channel::deliver(SymbolSink* sink, sim::SimTime start,
-                      std::vector<Symbol>&& symbols) {
-  Burst burst;
-  burst.start = start;
-  burst.period = character_period_;
-  burst.symbols = std::move(symbols);
-  // Reuse the channel's scratch so steady-state traffic builds the view
-  // without allocating. Delivery never nests (on_burst runs from the event
-  // loop and only *schedules* follow-on work), so one scratch pair is safe.
-  burst.data = std::move(view_data_);
-  burst.ctl = std::move(view_ctl_);
-  burst.build_view();
-  sink->on_burst(burst);
-  view_data_ = std::move(burst.data);
-  view_ctl_ = std::move(burst.ctl);
-  pool_.release(std::move(burst.symbols));
+                      std::size_t count) {
+  unpoison_capacity(scratch_.symbols);
+  in_flight_.pop_into(count, scratch_.symbols);
+  scratch_.start = start;
+  scratch_.build_view();
+  sink->on_burst(scratch_);
+  poison_capacity(scratch_.symbols);
 }
 
 }  // namespace hsfi::link

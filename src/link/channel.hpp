@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "link/symbol.hpp"
-#include "link/symbol_pool.hpp"
+#include "link/symbol_fifo.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -24,11 +24,11 @@ namespace hsfi::link {
 /// at `start + (i + 1) * period`.
 ///
 /// Lifetime: a Burst delivered to SymbolSink::on_burst — including its
-/// `symbols` storage and the SoA view — is owned by the channel and valid
-/// only until on_burst returns; the buffers are then recycled for later
-/// bursts. Sinks that need the data longer must copy it. Under
-/// AddressSanitizer the recycled `symbols` storage is poisoned, so use past
-/// the lifetime faults in CI.
+/// `symbols` storage and the SoA view — is the channel's one reused
+/// delivery scratch, valid only until on_burst returns; the next delivery
+/// overwrites it. Sinks that need the data longer must copy it. Under
+/// AddressSanitizer the scratch's `symbols` storage is poisoned between
+/// deliveries, so use past the lifetime faults in CI.
 ///
 /// Structure-of-arrays view: channels deliver bursts with `data` (the data
 /// byte of every symbol, contiguous) and `ctl` (a bitmask, bit (i % 64) of
@@ -83,6 +83,8 @@ class Channel {
   Channel(sim::Simulator& simulator, std::string name,
           sim::Duration character_period, sim::Duration propagation_delay);
 
+  ~Channel();
+
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
@@ -120,38 +122,37 @@ class Channel {
     return symbols_lost_;
   }
 
-  /// The burst-buffer freelist (observable for pooling tests/metrics).
-  [[nodiscard]] const SymbolBufferPool& burst_pool() const noexcept {
-    return pool_;
-  }
-
-  /// Mutable channel state for fabric snapshots. In-flight bursts live in
-  /// the simulator queue (delivery lambdas own their symbol vectors by
-  /// value), so the channel itself only carries the transmitter horizon and
-  /// counters. The buffer pool is deliberately excluded: it only affects
-  /// allocation reuse, never delivery order or timing.
+  /// Mutable channel state for fabric snapshots: the transmitter horizon,
+  /// the counters, and the in-flight symbols. A pending delivery event
+  /// carries only (sink, start, count); the symbols it will deliver wait in
+  /// the channel's FIFO, so a snapshot of the simulator queue is only
+  /// complete together with this state. The delivery scratch is excluded:
+  /// it holds nothing between deliveries.
   struct State {
     sim::SimTime tx_free_at = 0;
     std::uint64_t symbols_sent = 0;
     std::uint64_t symbols_lost = 0;
     bool connected = true;
+    std::vector<Symbol> in_flight;  ///< oldest first
   };
 
-  [[nodiscard]] State capture_state() const noexcept {
-    return State{tx_free_at_, symbols_sent_, symbols_lost_, connected_};
+  [[nodiscard]] State capture_state() const {
+    return State{tx_free_at_, symbols_sent_, symbols_lost_, connected_,
+                 in_flight_.contents()};
   }
-  void restore_state(const State& state) noexcept {
+  void restore_state(const State& state) {
     tx_free_at_ = state.tx_free_at;
     symbols_sent_ = state.symbols_sent;
     symbols_lost_ = state.symbols_lost;
     connected_ = state.connected;
+    in_flight_.assign(state.in_flight);
   }
 
  private:
-  /// Fire-time half of transmit(): assembles the Burst (SoA view from the
-  /// channel scratch), invokes the sink, and recycles the buffers.
-  void deliver(SymbolSink* sink, sim::SimTime start,
-               std::vector<Symbol>&& symbols);
+  /// Fire-time half of transmit(): pops `count` symbols off the in-flight
+  /// FIFO into the delivery scratch, builds the SoA view, and invokes the
+  /// sink.
+  void deliver(SymbolSink* sink, sim::SimTime start, std::size_t count);
 
   sim::Simulator& simulator_;
   std::string name_;
@@ -162,9 +163,14 @@ class Channel {
   std::uint64_t symbols_lost_ = 0;
   bool connected_ = true;
   SymbolSink* sink_ = nullptr;
-  SymbolBufferPool pool_;
-  std::vector<std::uint8_t> view_data_;   ///< SoA scratch, reused per delivery
-  std::vector<std::uint64_t> view_ctl_;   ///< SoA scratch, reused per delivery
+  /// Symbols of every scheduled, not yet fired delivery, in transmit order
+  /// (which is delivery order: start times strictly increase and the
+  /// propagation delay is constant).
+  SymbolFifo in_flight_;
+  /// The Burst handed to on_burst, reused by every delivery (delivery
+  /// never nests: on_burst runs from the event loop and only schedules
+  /// follow-on work). `symbols` is ASan-poisoned between deliveries.
+  Burst scratch_;
 };
 
 /// A full-duplex cable: two channels with shared parameters. End A transmits

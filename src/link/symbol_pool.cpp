@@ -2,49 +2,13 @@
 
 #include <utility>
 
-#if defined(__SANITIZE_ADDRESS__)
-#define HSFI_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define HSFI_ASAN 1
-#endif
-#endif
-
-#ifdef HSFI_ASAN
-#include <sanitizer/asan_interface.h>
-#endif
+#include "link/symbol_fifo.hpp"
 
 namespace hsfi::link {
 
-namespace {
-
-void poison(const std::vector<Symbol>& buffer) {
-#ifdef HSFI_ASAN
-  if (buffer.capacity() != 0) {
-    __asan_poison_memory_region(buffer.data(),
-                                buffer.capacity() * sizeof(Symbol));
-  }
-#else
-  (void)buffer;
-#endif
-}
-
-void unpoison(const std::vector<Symbol>& buffer) {
-#ifdef HSFI_ASAN
-  if (buffer.capacity() != 0) {
-    __asan_unpoison_memory_region(buffer.data(),
-                                  buffer.capacity() * sizeof(Symbol));
-  }
-#else
-  (void)buffer;
-#endif
-}
-
-}  // namespace
-
 SymbolBufferPool::~SymbolBufferPool() {
   // The vectors' own deallocation must not run against poisoned storage.
-  for (const auto& buffer : free_) unpoison(buffer);
+  for (const auto& buffer : free_) unpoison_capacity(buffer);
 }
 
 std::vector<Symbol> SymbolBufferPool::acquire() {
@@ -53,14 +17,14 @@ std::vector<Symbol> SymbolBufferPool::acquire() {
   ++reuses_;
   std::vector<Symbol> buffer = std::move(free_.back());
   free_.pop_back();
-  unpoison(buffer);
+  unpoison_capacity(buffer);
   buffer.clear();
   return buffer;
 }
 
 void SymbolBufferPool::release(std::vector<Symbol>&& buffer) {
   if (free_.size() >= max_free_ || buffer.capacity() == 0) return;
-  poison(buffer);
+  poison_capacity(buffer);
   free_.push_back(std::move(buffer));
 }
 

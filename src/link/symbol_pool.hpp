@@ -1,12 +1,11 @@
 // Freelist of symbol buffers for steady-state zero-allocation traffic.
 //
-// Every Burst a Channel delivers used to allocate (and free) its symbol
-// vector; over a campaign that is one malloc per transmit on the hottest
-// path in the tree. The pool recycles the vectors instead: release() parks
-// a buffer (capacity intact), acquire() hands it back out. Under
-// AddressSanitizer the parked buffer's storage is poisoned, so a sink that
-// holds on to a Burst span past its documented lifetime (the on_burst call)
-// crashes loudly in CI instead of silently reading recycled data.
+// A producer that hands whole symbol vectors around (fc::FcPort's per-frame
+// transmit buffers) recycles them here instead of allocating one per use:
+// release() parks a buffer (capacity intact), acquire() hands it back out.
+// Under AddressSanitizer the parked buffer's storage is poisoned, so a
+// reader that holds on to a span into it past its lifetime crashes loudly
+// in CI instead of silently reading recycled data.
 #pragma once
 
 #include <cstdint>

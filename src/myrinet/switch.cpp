@@ -122,6 +122,13 @@ void Switch::schedule_pump(std::size_t port) {
   });
 }
 
+void Switch::forward(std::size_t out, std::size_t count) {
+  Port& q = *ports_[out];
+  q.pending_chars -= count < q.pending_chars ? count : q.pending_chars;
+  q.forwarding.pop_into(count, forward_scratch_);
+  if (q.tx != nullptr) q.tx->transmit(forward_scratch_);
+}
+
 bool Switch::acquire_output(std::size_t out, std::size_t in) {
   Port& o = *ports_[out];
   if (o.owner_input == Port::kFree) {
@@ -269,17 +276,13 @@ void Switch::pump(std::size_t port) {
     Port& o = *ports_[batch_out];
     if (o.tx != nullptr) {
       o.pending_chars += batch.size();
-      simulator_.schedule_in(
-          config_.forwarding_latency,
-          [this, out = batch_out, b = std::move(batch)]() mutable {
-            Port& q = *ports_[out];
-            q.pending_chars -= b.size() < q.pending_chars ? b.size()
-                                                          : q.pending_chars;
-            if (q.tx != nullptr) q.tx->transmit(b);
-            batch_pool_.release(std::move(b));
-          });
+      o.forwarding.push(batch);
+      simulator_.schedule_in(config_.forwarding_latency,
+                             [this, out = batch_out, count = batch.size()] {
+                               forward(out, count);
+                             });
     }
-    batch = batch_pool_.acquire();
+    batch.clear();
   };
 
   for (;;) {
@@ -389,6 +392,7 @@ Switch::State Switch::capture_state() const {
     ps.owner_input = p.owner_input;
     ps.waiters = p.waiters;
     ps.pending_chars = p.pending_chars;
+    ps.forwarding = p.forwarding.contents();
     ps.pump_scheduled = p.pump_scheduled;
     ps.stats = p.stats;
     state.ports.push_back(std::move(ps));
@@ -412,6 +416,7 @@ void Switch::restore_state(const State& state) {
     p.owner_input = ps.owner_input;
     p.waiters = ps.waiters;
     p.pending_chars = ps.pending_chars;
+    p.forwarding.assign(ps.forwarding);
     p.pump_scheduled = ps.pump_scheduled;
     p.stats = ps.stats;
   }

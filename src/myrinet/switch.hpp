@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "link/channel.hpp"
-#include "link/symbol_pool.hpp"
+#include "link/symbol_fifo.hpp"
 #include "myrinet/control.hpp"
 #include "myrinet/crc8.hpp"
 #include "myrinet/flow_gate.hpp"
@@ -107,10 +107,12 @@ class Switch {
   }
 
   /// Snapshot state: per-port routing FSM, slack/gate state, arbitration,
-  /// and counters. The batch pool and the working pump batch are excluded —
-  /// the batch is only live inside pump(), and pool contents never affect
-  /// delivery order. EventIds stay valid across a fork (the simulator
-  /// restores queue slots/generations verbatim).
+  /// counters, and the symbols of forwarding batches still inside the
+  /// crossbar (a pending forwarding event carries only its output and
+  /// count; the symbols wait in the output's FIFO). The working pump batch
+  /// and the forwarding scratch are excluded — both are only live inside
+  /// one event. EventIds stay valid across a fork (the simulator restores
+  /// queue slots/generations verbatim).
   struct State {
     struct PortState {
       SlackBuffer::State slack;
@@ -124,6 +126,7 @@ class Switch {
       std::size_t owner_input = static_cast<std::size_t>(-1);
       std::deque<std::size_t> waiters;
       std::size_t pending_chars = 0;
+      std::vector<link::Symbol> forwarding;  ///< oldest first
       bool pump_scheduled = false;
       PortStats stats;
     };
@@ -170,6 +173,9 @@ class Switch {
     /// the wire-ahead throttle sees them — otherwise one pump pass could
     /// serialize a whole slack ahead of a STOP.
     std::size_t pending_chars = 0;
+    /// Symbols of those batches, in flush order — which is forwarding
+    /// order, since every batch waits the same forwarding latency.
+    link::SymbolFifo forwarding;
 
     bool pump_scheduled = false;
     PortStats stats;
@@ -178,6 +184,9 @@ class Switch {
   void on_burst(std::size_t port, const link::Burst& burst);
   void schedule_pump(std::size_t port);
   void pump(std::size_t port);
+  /// Forwarding-latency event: hands the `count` oldest batched symbols of
+  /// output `out` to its channel.
+  void forward(std::size_t out, std::size_t count);
   /// Tries to claim output `out` for input `in`; queues `in` as waiter on
   /// failure. Returns success.
   bool acquire_output(std::size_t out, std::size_t in);
@@ -197,12 +206,13 @@ class Switch {
   std::vector<std::unique_ptr<Port>> ports_;
   sim::TraceLog* trace_ = nullptr;
   PortEventHandler port_event_;
-  /// Freelist for the per-pump forwarding batches: each batch rides inside
-  /// a forwarding-latency event and returns here after transmission, so
-  /// steady-state forwarding allocates nothing per packet. `pump_batch_` is
-  /// the working batch pump() fills between flushes (pump never re-enters).
-  link::SymbolBufferPool batch_pool_;
+  /// The working batch pump() fills between flushes (pump never
+  /// re-enters); a flush moves its symbols onto the output's forwarding
+  /// FIFO. `forward_scratch_` holds the batch forward() pops off that FIFO
+  /// and hands to the channel. Both are reused, so steady-state forwarding
+  /// allocates nothing per packet.
   std::vector<link::Symbol> pump_batch_;
+  std::vector<link::Symbol> forward_scratch_;
 };
 
 }  // namespace hsfi::myrinet

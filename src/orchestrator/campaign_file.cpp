@@ -54,6 +54,11 @@ std::uint64_t field_u64(const JsonValue& v, const std::string& ctx) {
   return out;
 }
 
+bool field_bool(const JsonValue& v, const std::string& ctx) {
+  if (v.kind != JsonValue::Kind::kBool) bail(ctx + " must be a boolean");
+  return v.boolean;
+}
+
 sim::Duration field_ms(const JsonValue& v, const std::string& ctx) {
   const double ms = field_num(v, ctx);
   if (ms < 0) bail(ctx + " must be non-negative");
@@ -139,11 +144,6 @@ scenario::ScenarioSpec parse_scenario(const JsonValue& v,
 }
 
 namespace {
-
-bool field_bool(const JsonValue& v, const std::string& ctx) {
-  if (v.kind != JsonValue::Kind::kBool) bail(ctx + " must be a boolean");
-  return v.boolean;
-}
 
 // ---------------------------------------------------------------------------
 // Target settings: the overlay applied defaults-then-target.
@@ -327,7 +327,10 @@ StrategySpec parse_strategy(const JsonValue& v, const std::string& ctx) {
       s.tolerance_us = field_num(value, fctx);
       if (s.tolerance_us <= 0) bail(fctx + " must be positive");
     } else if (key == "max_rounds") {
-      s.max_rounds = static_cast<std::uint32_t>(field_u64(value, fctx));
+      const std::uint64_t rounds = field_u64(value, fctx);
+      // A wider value must not truncate into a small round budget.
+      if (rounds > UINT32_MAX) bail(fctx + " must be at most 4294967295");
+      s.max_rounds = static_cast<std::uint32_t>(rounds);
     } else if (key == "target_count") {
       s.target_count = field_u64(value, fctx);
     } else {

@@ -47,6 +47,7 @@ class CampaignFileError : public std::runtime_error {
 [[nodiscard]] double field_num(const JsonValue& v, const std::string& ctx);
 [[nodiscard]] std::uint64_t field_u64(const JsonValue& v,
                                       const std::string& ctx);
+[[nodiscard]] bool field_bool(const JsonValue& v, const std::string& ctx);
 /// Non-negative milliseconds / positive microseconds, fractions allowed,
 /// on the Duration grid; a value the grid cannot hold is refused.
 [[nodiscard]] sim::Duration field_ms(const JsonValue& v,

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "orchestrator/campaign_file.hpp"
 #include "orchestrator/json_value.hpp"
 #include "orchestrator/jsonl.hpp"
 
@@ -99,34 +100,40 @@ std::optional<JsonValue> read_sidecar(const std::string& path) {
   return doc;
 }
 
-[[noreturn]] void bad_field(const std::string& path, const char* key) {
-  bail("checkpoint " + path + " missing/bad field '" + key + "'");
+/// The ShardError boundary around the typed field readers
+/// (orchestrator::field_*, or a lambda in their style that throws
+/// CampaignFileError): the field `key` of `obj` read with `read`, or a
+/// ShardError naming the field when it is missing or `read` refuses it.
+template <typename Read>
+auto read_field(const JsonValue& obj, const char* key, const std::string& path,
+                Read read) {
+  const std::string what =
+      "checkpoint " + path + " missing/bad field '" + key + "'";
+  const auto* v = obj.find(key);
+  if (v == nullptr) bail(what);
+  try {
+    return read(*v, std::string(key));
+  } catch (const CampaignFileError& e) {
+    bail(what + " (" + e.what() + ")");
+  }
 }
 
-std::uint64_t field_u64(const JsonValue& obj, const char* key,
-                        const std::string& path) {
-  std::uint64_t out = 0;
-  const auto* v = obj.find(key);
-  if (v == nullptr || !v->as_u64(out)) bad_field(path, key);
-  return out;
-}
-
-bool field_bool(const JsonValue& obj, const char* key,
-                const std::string& path) {
-  const auto* v = obj.find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kBool) bad_field(path, key);
-  return v->boolean;
+/// shard/of are 32-bit: a wider value must not truncate into a layout that
+/// matches the resuming process.
+std::uint32_t field_u32(const JsonValue& v, const std::string& ctx) {
+  const std::uint64_t n = field_u64(v, ctx);
+  if (n > UINT32_MAX) throw CampaignFileError(ctx + " is out of range");
+  return static_cast<std::uint32_t>(n);
 }
 
 /// The "spec" field: exactly the 16 lowercase hex digits hex64 writes.
-std::uint64_t field_digest(const JsonValue& doc, const std::string& path) {
-  const auto* v = doc.find("spec");
-  if (v == nullptr || v->kind != JsonValue::Kind::kString ||
-      v->text.size() != 16 ||
-      v->text.find_first_not_of("0123456789abcdef") != std::string::npos) {
-    bad_field(path, "spec");
+std::uint64_t field_digest(const JsonValue& v, const std::string& ctx) {
+  const std::string text = field_str(v, ctx);
+  if (text.size() != 16 ||
+      text.find_first_not_of("0123456789abcdef") != std::string::npos) {
+    throw CampaignFileError(ctx + " must be 16 lowercase hex digits");
   }
-  return std::strtoull(v->text.c_str(), nullptr, 16);
+  return std::strtoull(text.c_str(), nullptr, 16);
 }
 
 }  // namespace
@@ -159,20 +166,13 @@ std::optional<Checkpoint> read_checkpoint(const std::string& path) {
   const auto doc = read_sidecar(path);
   if (!doc) return std::nullopt;
   Checkpoint ckpt;
-  ckpt.spec_digest = field_digest(*doc, path);
-  // shard/of are 32-bit: a wider value must not truncate into a layout
-  // that matches the resuming process.
-  const auto u32 = [&](const char* key) {
-    const std::uint64_t v = field_u64(*doc, key, path);
-    if (v > UINT32_MAX) bad_field(path, key);
-    return static_cast<std::uint32_t>(v);
-  };
-  ckpt.shard = u32("shard");
-  ckpt.of = u32("of");
-  ckpt.batches = field_u64(*doc, "batches", path);
-  ckpt.runs = field_u64(*doc, "runs", path);
-  ckpt.bytes = field_u64(*doc, "bytes", path);
-  ckpt.done = field_bool(*doc, "done", path);
+  ckpt.spec_digest = read_field(*doc, "spec", path, field_digest);
+  ckpt.shard = read_field(*doc, "shard", path, field_u32);
+  ckpt.of = read_field(*doc, "of", path, field_u32);
+  ckpt.batches = read_field(*doc, "batches", path, field_u64);
+  ckpt.runs = read_field(*doc, "runs", path, field_u64);
+  ckpt.bytes = read_field(*doc, "bytes", path, field_u64);
+  ckpt.done = read_field(*doc, "done", path, field_bool);
   return ckpt;
 }
 
@@ -186,12 +186,12 @@ std::optional<AdaptiveCheckpoint> read_adaptive_checkpoint(
     bail("checkpoint " + path + " is not an adaptive campaign's sidecar");
   }
   AdaptiveCheckpoint ckpt;
-  ckpt.spec_digest = field_digest(*doc, path);
+  ckpt.spec_digest = read_field(*doc, "spec", path, field_digest);
   if (ckpt.spec_digest != spec_digest) {
     bail("checkpoint " + path +
          " belongs to a different campaign spec — refusing to splice");
   }
-  ckpt.bytes = field_u64(*doc, "bytes", path);
+  ckpt.bytes = read_field(*doc, "bytes", path, field_u64);
   const auto* list = doc->find("targets");
   if (list == nullptr || list->kind != JsonValue::Kind::kArray) {
     bail("checkpoint " + path + " missing/bad field 'targets'");
@@ -202,9 +202,9 @@ std::optional<AdaptiveCheckpoint> read_adaptive_checkpoint(
   }
   for (const auto& item : list->items) {
     AdaptiveTargetCursor cursor;
-    cursor.rounds = field_u64(item, "rounds", path);
-    cursor.records = field_u64(item, "records", path);
-    cursor.done = field_bool(item, "done", path);
+    cursor.rounds = read_field(item, "rounds", path, field_u64);
+    cursor.records = read_field(item, "records", path, field_u64);
+    cursor.done = read_field(item, "done", path, field_bool);
     ckpt.targets.push_back(cursor);
   }
   return ckpt;

@@ -3,7 +3,7 @@
 // Every scheduled event used to carry a std::function<void()>, whose copyable
 // type-erasure forces a heap allocation for anything bigger than two words.
 // The kernel's common case — a lambda capturing `this` plus a handful of
-// pointers or a pooled Burst — fits comfortably in a fixed inline buffer, so
+// pointers and counts — fits comfortably in a fixed inline buffer, so
 // Action stores callables up to kInlineSize bytes in place and only falls
 // back to the heap for oversized or throwing-move captures. Actions are
 // move-only (an event fires exactly once; nothing ever needs to copy one),
@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -19,8 +20,9 @@ namespace hsfi::sim {
 
 class Action {
  public:
-  /// Sized for the largest hot-path capture: a Channel burst-delivery lambda
-  /// (this + sink + a 40-byte Burst = 56 bytes). Total Action = 64 bytes.
+  /// Room for any hot-path capture (the largest, a Channel delivery, is
+  /// this + sink + start + count = 32 bytes) and most cold ones. Total
+  /// Action = 64 bytes.
   static constexpr std::size_t kInlineSize = 56;
 
   Action() noexcept = default;
@@ -29,33 +31,18 @@ class Action {
     requires(!std::is_same_v<std::remove_cvref_t<F>, Action> &&
              std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
   Action(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for std::function
-    using Fn = std::remove_cvref_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &kHeapOps<Fn>;
-    }
+    emplace(std::forward<F>(f));
   }
 
   Action(Action&& other) noexcept : ops_(other.ops_) {
-    if (ops_ != nullptr) {
-      ops_->relocate(storage_, other.storage_);
-      other.ops_ = nullptr;
-    }
+    if (ops_ != nullptr) take_callable(other);
   }
 
   Action& operator=(Action&& other) noexcept {
     if (this != &other) {
       reset();
       ops_ = other.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(storage_, other.storage_);
-        other.ops_ = nullptr;
-      }
+      if (ops_ != nullptr) take_callable(other);
     }
     return *this;
   }
@@ -68,6 +55,31 @@ class Action {
   /// Precondition: *this holds a callable.
   void operator()() { ops_->invoke(storage_); }
 
+  /// Replaces the held callable with one constructed directly from `f` in
+  /// this Action's storage, so a callable forwarded down to its final
+  /// resting place (an event-queue slot) is built once and never relocated.
+  /// An Action argument is moved in instead.
+  template <typename F>
+    requires(std::is_same_v<std::remove_cvref_t<F>, Action> ||
+             std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
+  void emplace(F&& f) {
+    using Fn = std::remove_cvref_t<F>;
+    if constexpr (std::is_same_v<Fn, Action>) {
+      *this = std::forward<F>(f);
+    } else {
+      reset();
+      if constexpr (sizeof(Fn) <= kInlineSize &&
+                    alignof(Fn) <= alignof(std::max_align_t) &&
+                    std::is_nothrow_move_constructible_v<Fn>) {
+        ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+        ops_ = &kInlineOps<Fn>;
+      } else {
+        ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
+        ops_ = &kHeapOps<Fn>;
+      }
+    }
+  }
+
   [[nodiscard]] explicit operator bool() const noexcept {
     return ops_ != nullptr;
   }
@@ -76,7 +88,7 @@ class Action {
   /// leaves *this empty.
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
       ops_ = nullptr;
     }
   }
@@ -103,8 +115,11 @@ class Action {
   struct Ops {
     void (*invoke)(void*);
     /// Move-constructs the callable into `dst` from `src` and destroys the
-    /// `src` copy (for heap-held callables, just moves the pointer).
+    /// `src` copy; nullptr when a byte copy of the storage does that (a
+    /// heap-held callable's pointer, or an inline trivially copyable
+    /// callable: every hot-path capture).
     void (*relocate)(void* dst, void* src) noexcept;
+    /// nullptr when there is nothing to destroy.
     void (*destroy)(void*) noexcept;
     /// Copy-constructs the callable into `dst` from `src`; nullptr when the
     /// callable is move-only (such an action cannot be snapshotted).
@@ -135,26 +150,55 @@ class Action {
   }
 
   template <typename Fn>
-  static constexpr Ops kInlineOps = {
-      [](void* p) { (*std::launder(reinterpret_cast<Fn*>(p)))(); },
-      [](void* dst, void* src) noexcept {
+  static constexpr auto relocate_inline() {
+    if constexpr (std::is_trivially_copyable_v<Fn>) {
+      return static_cast<void (*)(void*, void*) noexcept>(nullptr);
+    } else {
+      return +[](void* dst, void* src) noexcept {
         Fn* s = std::launder(reinterpret_cast<Fn*>(src));
         ::new (dst) Fn(std::move(*s));
         s->~Fn();
-      },
-      [](void* p) noexcept { std::launder(reinterpret_cast<Fn*>(p))->~Fn(); },
+      };
+    }
+  }
+
+  template <typename Fn>
+  static constexpr auto destroy_inline() {
+    if constexpr (std::is_trivially_destructible_v<Fn>) {
+      return static_cast<void (*)(void*) noexcept>(nullptr);
+    } else {
+      return +[](void* p) noexcept {
+        std::launder(reinterpret_cast<Fn*>(p))->~Fn();
+      };
+    }
+  }
+
+  template <typename Fn>
+  static constexpr Ops kInlineOps = {
+      [](void* p) { (*std::launder(reinterpret_cast<Fn*>(p)))(); },
+      relocate_inline<Fn>(),
+      destroy_inline<Fn>(),
       clone_inline<Fn>(),
   };
 
   template <typename Fn>
   static constexpr Ops kHeapOps = {
       [](void* p) { (**std::launder(reinterpret_cast<Fn**>(p)))(); },
-      [](void* dst, void* src) noexcept {
-        ::new (dst) Fn*(*std::launder(reinterpret_cast<Fn**>(src)));
-      },
+      nullptr,  // relocating moves the pointer: a byte copy
       [](void* p) noexcept { delete *std::launder(reinterpret_cast<Fn**>(p)); },
       clone_heap<Fn>(),
   };
+
+  /// Moves `other`'s callable into this Action's storage and empties
+  /// `other`. Precondition: ops_ == other.ops_ != nullptr.
+  void take_callable(Action& other) noexcept {
+    if (ops_->relocate != nullptr) {
+      ops_->relocate(storage_, other.storage_);
+    } else {
+      std::memcpy(storage_, other.storage_, kInlineSize);
+    }
+    other.ops_ = nullptr;
+  }
 
   alignas(std::max_align_t) unsigned char storage_[kInlineSize];
   const Ops* ops_ = nullptr;

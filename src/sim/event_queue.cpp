@@ -8,24 +8,6 @@
 
 namespace hsfi::sim {
 
-EventId EventQueue::schedule(SimTime when, Action action) {
-  std::uint32_t slot;
-  if (free_head_ != kNoSlot) {
-    slot = free_head_;
-    free_head_ = slots_[slot].next;
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& s = slots_[slot];
-  s.action = std::move(action);
-  s.when = when;
-  s.seq = next_seq_++;
-  place(slot);
-  ++live_;
-  return make_id(slot, s.gen);
-}
-
 void EventQueue::place(std::uint32_t slot_index) {
   Slot& s = slots_[slot_index];
   const std::int64_t ahead = (s.when >> kBucketShift) - cursor_;
@@ -41,27 +23,28 @@ void EventQueue::place(std::uint32_t slot_index) {
   const std::uint64_t bit = std::uint64_t{1} << (bucket % 64);
   if ((word & bit) == 0) {
     word |= bit;
+    summary_ |= std::uint64_t{1} << (bucket / 64);
     s.prev = s.next = kNoSlot;
-    head_[bucket] = tail_[bucket] = slot_index;
+    ends_[bucket].head = ends_[bucket].tail = slot_index;
     return;
   }
   // Walk back from the tail to the last event that fires no later. A new
   // event carries the largest seq, so this stops at the first one whose
   // time is <= s.when — in practice the tail itself.
-  std::uint32_t after = tail_[bucket];
+  std::uint32_t after = ends_[bucket].tail;
   while (after != kNoSlot &&
          later(slots_[after].when, slots_[after].seq, s.when, s.seq)) {
     after = slots_[after].prev;
   }
   s.prev = after;
-  s.next = after == kNoSlot ? head_[bucket] : slots_[after].next;
+  s.next = after == kNoSlot ? ends_[bucket].head : slots_[after].next;
   if (s.next == kNoSlot) {
-    tail_[bucket] = slot_index;
+    ends_[bucket].tail = slot_index;
   } else {
     slots_[s.next].prev = slot_index;
   }
   if (after == kNoSlot) {
-    head_[bucket] = slot_index;
+    ends_[bucket].head = slot_index;
   } else {
     slots_[after].next = slot_index;
   }
@@ -71,17 +54,19 @@ void EventQueue::unlink(std::uint32_t slot_index) noexcept {
   const Slot& s = slots_[slot_index];
   const std::uint32_t bucket = s.where;
   if (s.prev == kNoSlot) {
-    head_[bucket] = s.next;
+    ends_[bucket].head = s.next;
   } else {
     slots_[s.prev].next = s.next;
   }
   if (s.next == kNoSlot) {
-    tail_[bucket] = s.prev;
+    ends_[bucket].tail = s.prev;
   } else {
     slots_[s.next].prev = s.prev;
   }
-  if (head_[bucket] == kNoSlot) {
-    occupied_[bucket / 64] &= ~(std::uint64_t{1} << (bucket % 64));
+  if (ends_[bucket].head == kNoSlot) {
+    std::uint64_t& word = occupied_[bucket / 64];
+    word &= ~(std::uint64_t{1} << (bucket % 64));
+    if (word == 0) summary_ &= ~(std::uint64_t{1} << (bucket / 64));
   }
 }
 
@@ -126,19 +111,24 @@ std::uint32_t EventQueue::locate() {
   }
   // First occupied bucket at or after the cursor, circularly: every wheel
   // event lies in [cursor_, cursor_ + kBuckets), so circular index order
-  // from the cursor is time order. The first word is visited twice, masked
-  // to the buckets at/after the cursor and then to the ones before it.
+  // from the cursor is time order. That order visits the cursor's word
+  // from the cursor up, the later words, the earlier words, and last the
+  // cursor word's buckets below the cursor; summary_ finds the first
+  // occupied word of each stretch in one step.
   std::uint32_t best = kNoSlot;
   const auto start = static_cast<std::uint32_t>(cursor_) & kMask;
   std::uint32_t w = start / 64;
   std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (start % 64));
-  for (std::uint32_t i = 0; i <= kWords; ++i) {
-    if (bits != 0) {
-      best = head_[w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits))];
-      break;
-    }
-    w = (w + 1) % kWords;
+  if (bits == 0 && summary_ != 0) {
+    const std::uint64_t later_words =
+        summary_ & ~(~std::uint64_t{0} >> (63 - w));  // words above w
+    w = static_cast<std::uint32_t>(
+        std::countr_zero(later_words != 0 ? later_words : summary_));
     bits = occupied_[w];
+  }
+  if (bits != 0) {
+    best = ends_[w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits))]
+               .head;
   }
   if (!far_.empty()) {
     const Entry& top = far_.front();
@@ -215,6 +205,7 @@ EventQueue::Snapshot EventQueue::snapshot() const {
 
 void EventQueue::restore(const Snapshot& snap) {
   occupied_.fill(0);
+  summary_ = 0;
   far_.clear();
   far_stale_ = 0;
   slots_.clear();

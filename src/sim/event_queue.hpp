@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/action.hpp"
@@ -39,10 +40,13 @@ class EventQueue {
  public:
   using Action = sim::Action;
 
-  /// Wheel geometry: 256 buckets of 8.192 ns, a horizon of ~2.1 us. One
-  /// bucket is just under one Myrinet character time.
-  static constexpr int kBucketShift = 13;
-  static constexpr std::uint32_t kBuckets = 256;
+  /// Wheel geometry: 2048 buckets of 1.024 ns, a horizon of ~2.1 us. A
+  /// bucket is a small fraction of a character time (12.5 ns Myrinet,
+  /// 9.4 ns FC), so events a character apart rarely share one and an
+  /// insert rarely walks back past a later event (DESIGN.md "Kernel
+  /// internals" has the walk-back counts behind the choice).
+  static constexpr int kBucketShift = 10;
+  static constexpr std::uint32_t kBuckets = 2048;
 
   /// A pending event's ordering key and identity: the far heap's element
   /// type, and the form Snapshot stores live events in.
@@ -53,8 +57,20 @@ class EventQueue {
     std::uint32_t gen;
   };
 
-  /// Schedules `action` at absolute time `when` and returns its id.
-  EventId schedule(SimTime when, Action action);
+  /// Schedules `f` at absolute time `when` and returns its id. The
+  /// callable is built straight into its slot's Action (an Action argument
+  /// is moved there), so scheduling never relocates it.
+  template <typename F>
+  EventId schedule(SimTime when, F&& f) {
+    const std::uint32_t slot = claim_slot();
+    try {
+      slots_[slot].action.emplace(std::forward<F>(f));
+    } catch (...) {
+      release_slot(slot);
+      throw;
+    }
+    return file(slot, when);
+  }
 
   /// Cancels a pending event in O(1) amortized. Cancelling an already-
   /// fired, already-cancelled, or invalid id is a no-op.
@@ -121,6 +137,7 @@ class EventQueue {
   static constexpr std::uint32_t kRetired = kBuckets + 1;
   static constexpr std::uint32_t kMask = kBuckets - 1;
   static constexpr std::uint32_t kWords = kBuckets / 64;
+  static_assert(kWords <= 64, "summary_ holds one bit per occupancy word");
 
   struct Slot {
     Action action;
@@ -145,6 +162,33 @@ class EventQueue {
 
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) noexcept {
     return (static_cast<EventId>(slot) << 32) | gen;
+  }
+
+  /// A free slot index off the freelist, or a new slot; release_slot()
+  /// hands back one that was claimed but never filed. Inline, with file(),
+  /// because schedule() is a template instantiated at every call site.
+  std::uint32_t claim_slot() {
+    if (free_head_ == kNoSlot) {
+      slots_.emplace_back();
+      return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t slot = free_head_;
+    free_head_ = slots_[slot].next;
+    return slot;
+  }
+  void release_slot(std::uint32_t slot_index) noexcept {
+    slots_[slot_index].next = free_head_;
+    free_head_ = slot_index;
+  }
+  /// Stamps a claimed slot (its action already set) with `when` and the
+  /// next seq, places it, and returns its id.
+  EventId file(std::uint32_t slot_index, SimTime when) {
+    Slot& s = slots_[slot_index];
+    s.when = when;
+    s.seq = next_seq_++;
+    place(slot_index);
+    ++live_;
+    return make_id(slot_index, s.gen);
   }
 
   /// Files a slot holding `when`/`seq` into the wheel if its bucket lies in
@@ -178,11 +222,15 @@ class EventQueue {
   /// never decreases, and every wheel event lies in
   /// [cursor_, cursor_ + kBuckets).
   std::int64_t cursor_ = 0;
-  /// First and last slot of each bucket; meaningful only while the bucket's
-  /// occupied_ bit is set.
-  std::array<std::uint32_t, kBuckets> head_{};
-  std::array<std::uint32_t, kBuckets> tail_{};
+  /// First and last slot of each bucket, side by side so one cache line
+  /// serves both; meaningful only while the bucket's occupied_ bit is set.
+  struct Ends {
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
+  std::array<Ends, kBuckets> ends_{};
   std::array<std::uint64_t, kWords> occupied_{};  ///< bit i: bucket i nonempty
+  std::uint64_t summary_ = 0;  ///< bit w: occupied_[w] != 0
 
   std::vector<Entry> far_;     ///< min-heap by (when, seq), may hold stale
   std::size_t far_stale_ = 0;  ///< stale entries in far_

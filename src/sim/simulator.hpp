@@ -11,6 +11,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -28,14 +29,19 @@ class Simulator {
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
   /// Schedules `action` to run `delay` picoseconds from now (delay >= 0;
-  /// negative delays are clamped to zero to keep time monotone).
-  EventId schedule_in(Duration delay, EventQueue::Action action) {
-    return queue_.schedule(now_ + (delay > 0 ? delay : 0), std::move(action));
+  /// negative delays are clamped to zero to keep time monotone). `action`
+  /// is any void() callable or an EventQueue::Action; it is forwarded to
+  /// the queue and constructed once, in its event slot.
+  template <typename F>
+  EventId schedule_in(Duration delay, F&& action) {
+    return queue_.schedule(now_ + (delay > 0 ? delay : 0),
+                           std::forward<F>(action));
   }
 
   /// Schedules `action` at absolute time `when` (clamped to now()).
-  EventId schedule_at(SimTime when, EventQueue::Action action) {
-    return queue_.schedule(when > now_ ? when : now_, std::move(action));
+  template <typename F>
+  EventId schedule_at(SimTime when, F&& action) {
+    return queue_.schedule(when > now_ ? when : now_, std::forward<F>(action));
   }
 
   void cancel(EventId id) { queue_.cancel(id); }

@@ -318,6 +318,24 @@ TEST(CampaignFileTest, StrategyBlockParses) {
   EXPECT_EQ(file.strategy->target_count, 3u);
 }
 
+TEST(CampaignFileTest, MaxRoundsBeyond32BitsIsRefused) {
+  // 2^32 + 4 would truncate to a 4-round budget.
+  try {
+    (void)parse_campaign_file(R"({
+      "name": "x", "strategy": {"name": "bisect", "max_rounds": 4294967300},
+      "targets": [{"faults": ["gap-go"]}]})");
+    FAIL() << "accepted a max_rounds above 2^32 - 1";
+  } catch (const CampaignFileError& e) {
+    EXPECT_NE(std::string(e.what()).find("strategy.max_rounds"),
+              std::string::npos)
+        << e.what();
+  }
+  const auto widest = parse_campaign_file(R"({
+    "name": "x", "strategy": {"name": "bisect", "max_rounds": 4294967295},
+    "targets": [{"faults": ["gap-go"]}]})");
+  EXPECT_EQ(widest.strategy->max_rounds, 4294967295u);
+}
+
 TEST(CampaignFileTest, FixedStrategyRefusesTheSeuBitsKnob) {
   // fixed runs at the target's own value of its knob; the LFSR masks
   // seu-bits sets belong to the faults, so there is no such value.

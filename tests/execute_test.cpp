@@ -279,6 +279,41 @@ TEST(ExecuteCampaign, BurstBisectionBracketsAtTheIntenseHighEnd) {
   EXPECT_LE(t.manifested_at - t.masked_at, 1.0);
 }
 
+TEST(ExecuteCampaign, CoverageRunsAtTheIntenseEndOfTheKnob) {
+  // Larger bursts are more intense, so a burst coverage campaign explores
+  // at axis_hi; on udp-us the intense end is the short interval, axis_lo.
+  const CampaignFile file = parse_campaign_file(R"({
+    "name": "coverage-burst",
+    "strategy": {"name": "coverage", "knob": "burst", "axis_lo": 1,
+                 "axis_hi": 16},
+    "targets": [{"name": "myri", "faults": ["gap-go"],
+                 "directions": ["both"]}]})");
+  const auto& target = file.targets.at(0);
+  const Controller controller(adaptive_spec(file, target, 0));
+  const auto& workload = target.sweep.base.workload;
+  const auto strategy =
+      make_strategy(*file.strategy, controller.cells(), 1,
+                    workload.udp_interval, workload.burst_size);
+  const auto runs = controller.expand_round(strategy->next_round(0), 0, 0,
+                                            strategy->name());
+  ASSERT_FALSE(runs.empty());
+  for (const auto& run : runs) {
+    EXPECT_NE(run.campaign.name.find("/burst=16/"), std::string::npos)
+        << run.campaign.name;
+    EXPECT_EQ(run.campaign.workload.burst_size, 16u);
+  }
+
+  orchestrator::StrategySpec interval = *file.strategy;
+  interval.knob = nftape::Knob::kUdpIntervalUs;
+  interval.axis_lo = 12;
+  interval.axis_hi = 396;
+  const auto paced = make_strategy(interval, controller.cells(), 1,
+                                   workload.udp_interval, workload.burst_size);
+  const auto probes = paced->next_round(0);
+  ASSERT_FALSE(probes.empty());
+  EXPECT_DOUBLE_EQ(probes.front().knob_value, 12.0);
+}
+
 TEST(ExecuteCampaign, FixedBurstRunsAtTheTargetsBurstSize) {
   const CampaignFile file = parse_campaign_file(R"({
     "name": "fixed-burst",

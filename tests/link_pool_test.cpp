@@ -1,15 +1,21 @@
-// Buffer-reuse regression tests for the channel's symbol-pool hot path.
+// Buffer-reuse regression tests for the symbol pool and the channel's
+// in-flight FIFO.
 //
 // The contract under test (Burst doc, link/channel.hpp): delivered symbol
 // storage is valid for the duration of on_burst — stable data, correct
-// contents — and is recycled afterwards, so steady-state traffic stops
-// allocating. Under AddressSanitizer the recycled storage is poisoned;
-// SymbolPool.PoisonOnRelease proves the poison is really armed by reading
-// a dangling span and expecting the process to die (the test is skipped in
-// non-ASan builds, where the read is benign recycled memory).
+// contents — and is reused afterwards, so steady-state traffic stops
+// allocating. Symbols in flight live in the channel and travel with its
+// captured State, so a restored channel replays them exactly. Under
+// AddressSanitizer the delivery scratch is poisoned between deliveries;
+// SymbolPoolDeathTest.PoisonOnRelease proves the poison is really armed by
+// reading a dangling span and expecting the process to die (the test is
+// skipped in non-ASan builds, where the read is benign reused memory).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "link/channel.hpp"
@@ -25,6 +31,18 @@
 #define HSFI_TEST_ASAN 1
 #endif
 #endif
+
+// Every allocation in the process, so the steady-state test can show the
+// channel's warm delivery path makes none.
+std::atomic<std::uint64_t> allocations{0};
+
+void* operator new(std::size_t size) {
+  allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -124,25 +142,102 @@ TEST(ChannelPool, BurstDataStableForDocumentedLifetime) {
   EXPECT_EQ(sink.bursts()[1], sent_b);
 }
 
+/// Sink that keeps nothing: counts and checksums what it sees, so a loop
+/// of deliveries into it allocates only what the channel allocates.
+class CountingSink : public link::SymbolSink {
+ public:
+  void on_burst(const link::Burst& burst) override {
+    ++bursts;
+    for (const auto& s : burst.symbols) {
+      checksum = checksum * 31 + s.data;
+      ++symbols;
+    }
+  }
+  std::uint64_t bursts = 0;
+  std::uint64_t symbols = 0;
+  std::uint64_t checksum = 0;
+};
+
 TEST(ChannelPool, SteadyStateTrafficReusesBuffers) {
   sim::Simulator simulator;
   link::Channel channel(simulator, "ch", kPeriod, kDelay);
-  LifetimeCheckingSink sink;
+  CountingSink sink;
   channel.attach(sink);
 
+  // One and three bursts in flight at a time, so both a lone delivery and
+  // a FIFO holding several transmits are exercised.
   const auto symbols = payload(64, 0x20);
-  for (int i = 0; i < 100; ++i) {
+  const auto round = [&] {
     channel.transmit(symbols);
     simulator.run();
+    for (int k = 0; k < 3; ++k) channel.transmit(symbols);
+    simulator.run();
+  };
+  // Warm-up: the in-flight FIFO, the delivery scratch and the queue's
+  // event slots grow to their working sizes here.
+  for (int i = 0; i < 4; ++i) round();
+  const std::uint64_t before = allocations.load();
+  for (int i = 0; i < 100; ++i) round();
+  const std::uint64_t during = allocations.load() - before;
+
+  EXPECT_EQ(during, 0u)
+      << "warm steady-state traffic is supposed to allocate nothing";
+  EXPECT_EQ(sink.bursts, 104u * 4u);
+  EXPECT_EQ(sink.symbols, 104u * 4u * 64u);
+  EXPECT_TRUE(channel.capture_state().in_flight.empty());
+}
+
+/// Sink recording every burst with its timing, for replay comparisons.
+class RecordingSink : public link::SymbolSink {
+ public:
+  struct Seen {
+    sim::SimTime start;
+    sim::SimTime end;
+    std::vector<Symbol> symbols;
+    bool operator==(const Seen&) const = default;
+  };
+  void on_burst(const link::Burst& burst) override {
+    seen.push_back({burst.start, burst.end(),
+                    {burst.symbols.begin(), burst.symbols.end()}});
   }
-  ASSERT_EQ(sink.bursts().size(), 100u);
-  const auto& pool = channel.burst_pool();
-  EXPECT_EQ(pool.acquires(), 100u);
-  // Every delivery after the first runs on a recycled buffer: the hot path
-  // is allocation-free once warm. (>= 99 rather than == in case delivery
-  // ever splits a transmit into multiple bursts; reuse must still dominate.)
-  EXPECT_GE(pool.reuses(), 99u)
-      << "steady-state bursts are supposed to recycle their symbol buffers";
+  std::vector<Seen> seen;
+};
+
+TEST(ChannelPool, RestoreReplaysSymbolsInFlight) {
+  sim::Simulator simulator;
+  link::Channel channel(simulator, "ch", kPeriod, kDelay);
+  RecordingSink sink;
+  channel.attach(sink);
+
+  channel.transmit(payload(8, 0x10));
+  channel.transmit(payload(16, 0x30));
+  channel.transmit(payload(4, 0x50));
+  // Deliver the first burst only: two transmits are still in flight.
+  ASSERT_TRUE(simulator.step());
+  ASSERT_EQ(sink.seen.size(), 1u);
+  const auto kernel = simulator.snapshot();
+  const auto state = channel.capture_state();
+  ASSERT_EQ(state.in_flight.size(), 20u);
+
+  sink.seen.clear();
+  simulator.run();
+  const auto reference = sink.seen;
+  ASSERT_EQ(reference.size(), 2u);
+  EXPECT_EQ(reference[0].symbols, payload(16, 0x30));
+  EXPECT_EQ(reference[1].symbols, payload(4, 0x50));
+
+  // Diverge after the capture (more traffic through the same FIFO), then
+  // rewind twice: each replay delivers the same bursts at the same times.
+  channel.transmit(payload(32, 0x70));
+  simulator.run();
+  for (int replay = 0; replay < 2; ++replay) {
+    simulator.restore(kernel);
+    channel.restore_state(state);
+    EXPECT_EQ(channel.capture_state().in_flight.size(), 20u);
+    sink.seen.clear();
+    simulator.run();
+    EXPECT_EQ(sink.seen, reference) << "replay " << replay;
+  }
 }
 
 /// Holds on to the span past on_burst — exactly what the lifetime contract
