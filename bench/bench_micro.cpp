@@ -3,8 +3,8 @@
 // codec (one invocation per transmitted character), the FIFO injector's
 // per-character clock, the UDP one's-complement checksum, the event
 // queue under a campaign-shaped schedule/cancel/pop mix, one channel
-// transmit-to-delivery round trip, and the SoA view every delivered burst
-// derives from its symbols.
+// transmit-to-delivery round trip, and the control-symbol scan the burst
+// readers step through every delivered burst.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -14,6 +14,7 @@
 #include "fc/enc8b10b.hpp"
 #include "host/udp.hpp"
 #include "link/channel.hpp"
+#include "link/symbol.hpp"
 #include "myrinet/crc8.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
@@ -172,14 +173,13 @@ void BM_EventQueueMix(benchmark::State& state) {
 BENCHMARK(BM_EventQueueMix);
 
 // One channel transmit of range(0) symbols and its delivery: the FIFO push,
-// the scheduled delivery event, the pop into the delivery scratch, the SoA
-// view, and the sink call. Arg 1 is the injector's drain-tick burst, 2 a
-// flow-control pair, 64 a forwarded packet body. The sink only reads.
+// the scheduled delivery event, the pop into the delivery scratch, and the
+// sink call. Arg 1 is the injector's drain-tick burst, 2 a flow-control
+// pair, 64 a forwarded packet body. The sink only reads.
 void BM_ChannelTransmitDeliver(benchmark::State& state) {
   struct TouchSink final : hsfi::link::SymbolSink {
     void on_burst(const hsfi::link::Burst& burst) override {
-      benchmark::DoNotOptimize(burst.data.data());
-      benchmark::DoNotOptimize(burst.ctl.data());
+      benchmark::DoNotOptimize(burst.symbols.data());
     }
   };
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -203,28 +203,31 @@ void BM_ChannelTransmitDeliver(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelTransmitDeliver)->Arg(1)->Arg(2)->Arg(64);
 
-// Burst::build_view on a burst of range(0) symbols, one in eight a control
-// character. Arg 1 is the injector's drain-tick burst; 2048 a long FC frame
-// run. The view storage is reused across iterations, as the channel reuses
-// its scratch.
-void BM_BurstView(benchmark::State& state) {
+// link::find_next_control stepped from hit to hit across range(0) symbols,
+// one in eight a control character, the way StreamStats::feed_burst counts
+// controls. Arg 1 is the injector's drain-tick burst; 2048 a long FC frame
+// run.
+void BM_FindNextControl(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  hsfi::link::Burst burst;
+  std::vector<hsfi::link::Symbol> symbols;
   hsfi::sim::Rng rng(11);
   for (std::size_t i = 0; i < n; ++i) {
     const auto bits = rng.next_u64();
-    burst.symbols.push_back(hsfi::link::Symbol{
-        static_cast<std::uint8_t>(bits), (bits >> 8) % 8 == 0});
+    symbols.push_back(hsfi::link::Symbol{static_cast<std::uint8_t>(bits),
+                                         (bits >> 8) % 8 == 0});
   }
   for (auto _ : state) {
-    burst.build_view();
-    benchmark::DoNotOptimize(burst.ctl.data());
-    benchmark::DoNotOptimize(burst.data.data());
+    std::size_t controls = 0;
+    for (std::size_t i = hsfi::link::find_next_control(symbols, 0); i < n;
+         i = hsfi::link::find_next_control(symbols, i + 1)) {
+      ++controls;
+    }
+    benchmark::DoNotOptimize(controls);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_BurstView)->Arg(1)->Arg(4)->Arg(64)->Arg(2048);
+BENCHMARK(BM_FindNextControl)->Arg(1)->Arg(4)->Arg(64)->Arg(2048);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "core/device.hpp"
 
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -49,26 +50,21 @@ struct InjectorDevice::Pipeline final : link::SymbolSink {
     if (drain_event != sim::kInvalidEventId || !fifo.pending_payload()) return;
     drain_event = simulator->schedule_in(character_period, [this] {
       drain_event = sim::kInvalidEventId;
+      // An idle tick never injects (the injector skips its even phase
+      // without an input character); it only moves the FIFO along.
+      const std::optional<link::Symbol> popped = fifo.clock(std::nullopt).out;
       scratch.clear();
-      emit(fifo.clock(std::nullopt), simulator->now(), scratch);
+      // IDLE characters (the free-running clock's filler) are never placed
+      // on the egress channel: our channels model idle wire time
+      // implicitly, so transmitting them would consume serialization
+      // capacity that the real wire's idles do not (they ARE the idle
+      // capacity).
+      if (popped && !is_idle_character(*popped)) {
+        repatch.feed_into(*popped, fifo.config().crc_repatch, scratch);
+      }
       transmit(scratch);
       schedule_drain();
     });
-  }
-
-  void emit(const FifoInjector::Result& r, sim::SimTime when,
-            std::vector<link::Symbol>& outs) {
-    if (r.injected) {
-      capture.trigger(when);
-      if (on_injection) on_injection(when);
-    }
-    if (!r.out) return;
-    // IDLE characters (the free-running clock's filler) are never placed on
-    // the egress channel: our channels model idle wire time implicitly, so
-    // transmitting them would consume serialization capacity that the real
-    // wire's idles do not (they ARE the idle capacity).
-    if (is_idle_character(*r.out)) return;
-    repatch.feed_into(*r.out, fifo.config().crc_repatch, outs);
   }
 
   void transmit(const std::vector<link::Symbol>& outs) {

@@ -1,8 +1,7 @@
 #include "core/stats.hpp"
 
-#include <bit>
-#include <cassert>
 #include <cstdio>
+#include <span>
 
 #include "myrinet/control.hpp"
 
@@ -30,23 +29,16 @@ void StreamStats::feed(link::Symbol s, sim::SimTime when) {
 }
 
 void StreamStats::feed_burst(const link::Burst& burst) {
-  assert(burst.has_view());
-  counters_.characters += burst.symbols.size();
-  std::uint64_t ctl_count = 0;
-  for (std::size_t w = 0; w < burst.ctl.size(); ++w) {
-    std::uint64_t word = burst.ctl[w];
-    ctl_count += static_cast<std::uint64_t>(std::popcount(word));
-    while (word != 0) {
-      const auto bit = static_cast<std::size_t>(std::countr_zero(word));
-      word &= word - 1;
-      const std::size_t j = (w << 6) + bit;
-      if (myrinet::decode_control(burst.data[j]) ==
-          myrinet::ControlSymbol::kGap) {
-        ++counters_.gaps;
-      }
+  const std::span<const link::Symbol> symbols(burst.symbols);
+  counters_.characters += symbols.size();
+  for (std::size_t i = link::find_next_control(symbols, 0); i < symbols.size();
+       i = link::find_next_control(symbols, i + 1)) {
+    ++counters_.control_symbols;
+    if (myrinet::decode_control(symbols[i].data) ==
+        myrinet::ControlSymbol::kGap) {
+      ++counters_.gaps;
     }
   }
-  counters_.control_symbols += ctl_count;
   deframer_.feed_burst(burst);
 }
 

@@ -43,9 +43,10 @@ class StreamStats {
 
   void feed(link::Symbol s, sim::SimTime when);
 
-  /// Whole-burst feed: counters advance arithmetically (control symbols by
-  /// bitmask popcount, gaps by scanning only the control positions) and the
-  /// deframer consumes data runs in bulk. Equivalent to per-symbol feed().
+  /// Whole-burst feed: the character count advances by the burst length,
+  /// control and GAP counts by stepping find_next_control over the control
+  /// positions only, and the deframer consumes data runs in bulk.
+  /// Equivalent to per-symbol feed().
   void feed_burst(const link::Burst& burst);
 
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }

@@ -82,7 +82,7 @@ struct FcFrame {
 [[nodiscard]] std::vector<link::Symbol> frame_to_symbols(const FcFrame& frame);
 
 /// Same, but reuses `out`'s storage (cleared first) — the port transmit
-/// path serializes every frame into a pooled buffer instead of allocating.
+/// path serializes every frame into one reused buffer instead of allocating.
 void frame_to_symbols_into(const FcFrame& frame,
                            std::vector<link::Symbol>& out);
 

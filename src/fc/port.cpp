@@ -1,6 +1,6 @@
 #include "fc/port.hpp"
 
-#include <cassert>
+#include <span>
 #include <utility>
 
 namespace hsfi::fc {
@@ -21,9 +21,7 @@ bool FcPort::send(FcFrame frame) {
     ++stats_.tx_queue_drops;
     return false;
   }
-  std::vector<link::Symbol> symbols = tx_pool_.acquire();
-  frame_to_symbols_into(frame, symbols);
-  tx_queue_.push_back(std::move(symbols));
+  tx_queue_.push_back(std::move(frame));
   schedule_pump_tx();
   return true;
 }
@@ -64,7 +62,7 @@ void FcPort::pump_tx() {
       }
       stalled_reported_ = false;
       --credits_;
-      tx_current_ = std::move(tx_queue_.front());
+      frame_to_symbols_into(tx_queue_.front(), tx_current_);
       tx_queue_.pop_front();
       tx_offset_ = 0;
     }
@@ -86,7 +84,6 @@ void FcPort::pump_tx() {
     tx_offset_ += n;
     if (tx_offset_ >= tx_current_.size()) {
       ++stats_.frames_sent;
-      tx_pool_.release(std::move(tx_current_));
       tx_current_.clear();
       tx_offset_ = 0;
     }
@@ -94,32 +91,30 @@ void FcPort::pump_tx() {
 }
 
 void FcPort::on_burst(const link::Burst& burst) {
-  assert(burst.has_view());
-  // Batched scan over the SoA view: control symbols and partial ordered
-  // sets go through the per-symbol feed (they carry all the protocol state
-  // transitions); pure data runs inside a frame body append in bulk.
-  const std::size_t n = burst.symbols.size();
+  // Batched scan: control symbols and partial ordered sets go through the
+  // per-symbol feed (they carry all the protocol state transitions); pure
+  // data runs inside a frame body append in bulk.
+  const std::span<const link::Symbol> symbols(burst.symbols);
+  const std::size_t n = symbols.size();
   std::size_t i = 0;
   while (i < n) {
-    if (!set_accum_.empty() || burst.symbols[i].control) {
-      feed(burst.symbols[i], burst.arrival(i));
+    if (!set_accum_.empty() || symbols[i].control) {
+      feed(symbols[i], burst.arrival(i));
       ++i;
       continue;
     }
-    std::size_t run_end = link::find_next_control(burst, i);
+    const std::size_t run_end = link::find_next_control(symbols, i);
     if (in_frame_) {
       // Stop the bulk append where an ordered set could begin; between
       // control symbols every data character lands in the open body.
-      body_.insert(body_.end(), burst.data.begin() + static_cast<std::ptrdiff_t>(i),
-                   burst.data.begin() + static_cast<std::ptrdiff_t>(run_end));
-      i = run_end;
+      link::append_data(symbols.subspan(i, run_end - i), body_);
     } else {
       for (std::size_t j = i; j < run_end; ++j) {
         ++stats_.stray_data;
         emit_event(Event::kStrayData, burst.arrival(j));
       }
-      i = run_end;
     }
+    i = run_end;
   }
 }
 

@@ -18,7 +18,6 @@
 
 #include "fc/frame.hpp"
 #include "link/channel.hpp"
-#include "link/symbol_pool.hpp"
 #include "sim/simulator.hpp"
 
 namespace hsfi::fc {
@@ -112,7 +111,7 @@ class FcPort final : public link::SymbolSink {
   /// simulator restores queue slots/generations verbatim); frame/event
   /// handlers are per-run wiring and stay attached.
   struct State {
-    std::deque<std::vector<link::Symbol>> tx_queue;
+    std::deque<FcFrame> tx_queue;
     std::vector<link::Symbol> tx_current;
     std::size_t tx_offset = 0;
     std::size_t credits = 0;
@@ -177,13 +176,11 @@ class FcPort final : public link::SymbolSink {
   FrameHandler handler_;
   EventHandler event_;
 
-  // Transmit. Frame serializations go through a buffer pool: a completed
-  // frame's symbol vector is parked and its capacity reused by the next
-  // send() instead of reallocating per frame. Excluded from State capture
-  // (pure capacity cache, no protocol state).
-  link::SymbolBufferPool tx_pool_;
-  std::deque<std::vector<link::Symbol>> tx_queue_;
-  std::vector<link::Symbol> tx_current_;
+  // Transmit. Frames queue as frames; pump_tx serializes the front one into
+  // tx_current_ (its capacity reused frame after frame) when it takes a
+  // credit.
+  std::deque<FcFrame> tx_queue_;
+  std::vector<link::Symbol> tx_current_;  // symbols of the frame being sent
   std::size_t tx_offset_ = 0;
   std::size_t credits_;
   bool tx_pump_scheduled_ = false;

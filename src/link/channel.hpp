@@ -24,25 +24,18 @@ namespace hsfi::link {
 /// at `start + (i + 1) * period`.
 ///
 /// Lifetime: a Burst delivered to SymbolSink::on_burst — including its
-/// `symbols` storage and the SoA view — is the channel's one reused
-/// delivery scratch, valid only until on_burst returns; the next delivery
-/// overwrites it. Sinks that need the data longer must copy it. Under
-/// AddressSanitizer the scratch's `symbols` storage is poisoned between
-/// deliveries, so use past the lifetime faults in CI.
+/// `symbols` storage — is the channel's one reused delivery scratch, valid
+/// only until on_burst returns; the next delivery overwrites it. Sinks that
+/// need the data longer must copy it. Under AddressSanitizer the scratch's
+/// `symbols` storage is poisoned between deliveries, so use past the
+/// lifetime faults in CI.
 ///
-/// Structure-of-arrays view: channels deliver bursts with `data` (the data
-/// byte of every symbol, contiguous) and `ctl` (a bitmask, bit (i % 64) of
-/// ctl[i / 64] set when symbols[i] is a control character) filled, so batch
-/// consumers can scan control positions word-at-a-time and bulk-copy data
-/// runs without re-touching Symbol structs. The view is part of the
-/// on_burst contract (see SymbolSink); hand-built bursts call build_view()
-/// before handing one to a sink.
+/// Batch consumers scan `symbols` with find_next_control and copy data runs
+/// with append_data (link/symbol.hpp).
 struct Burst {
   sim::SimTime start = 0;      ///< arrival time of the first symbol's leading edge
   sim::Duration period = 0;    ///< character period
   std::vector<Symbol> symbols;
-  std::vector<std::uint8_t> data;   ///< SoA: data[i] == symbols[i].data
-  std::vector<std::uint64_t> ctl;   ///< SoA: control-flag bitmask words
 
   [[nodiscard]] sim::SimTime end() const noexcept {
     return start + period * static_cast<sim::Duration>(symbols.size());
@@ -51,26 +44,13 @@ struct Burst {
   [[nodiscard]] sim::SimTime arrival(std::size_t i) const noexcept {
     return start + period * static_cast<sim::Duration>(i + 1);
   }
-
-  [[nodiscard]] bool has_view() const noexcept {
-    return data.size() == symbols.size() &&
-           ctl.size() == (symbols.size() + 63) / 64;
-  }
-  /// (Re)derives the SoA view from `symbols` — for hand-built bursts.
-  void build_view();
 };
-
-/// Index of the first control symbol at or after `from`, or symbols.size()
-/// when the rest of the burst is all data. Precondition: burst.has_view().
-[[nodiscard]] std::size_t find_next_control(const Burst& burst,
-                                            std::size_t from) noexcept;
 
 /// Receiver interface for one channel direction.
 class SymbolSink {
  public:
   virtual ~SymbolSink() = default;
-  /// Precondition: burst.has_view() — Channel::deliver builds the view
-  /// before every call, so sinks scan `data`/`ctl` without a fallback.
+  /// `burst` is valid only until this returns (see Burst).
   virtual void on_burst(const Burst& burst) = 0;
 };
 
@@ -150,8 +130,7 @@ class Channel {
 
  private:
   /// Fire-time half of transmit(): pops `count` symbols off the in-flight
-  /// FIFO into the delivery scratch, builds the SoA view, and invokes the
-  /// sink.
+  /// FIFO into the delivery scratch and invokes the sink.
   void deliver(SymbolSink* sink, sim::SimTime start, std::size_t count);
 
   sim::Simulator& simulator_;

@@ -8,6 +8,7 @@
 #include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -21,8 +22,9 @@ struct Symbol {
   friend constexpr auto operator<=>(const Symbol&, const Symbol&) = default;
 };
 
-// Burst::build_view reads a Symbol array as interleaved (data, control) byte
-// pairs, 16 symbols per vector step; these pin the layout it relies on.
+// find_next_control and append_data read a Symbol array as interleaved
+// (data, control) byte pairs, 16 symbols per vector step; these pin the
+// layout they rely on.
 static_assert(sizeof(Symbol) == 2);
 static_assert(offsetof(Symbol, data) == 0);
 static_assert(offsetof(Symbol, control) == 1);
@@ -30,6 +32,16 @@ static_assert(std::is_trivially_copyable_v<Symbol>);
 
 constexpr Symbol data_symbol(std::uint8_t b) noexcept { return Symbol{b, false}; }
 constexpr Symbol control_symbol(std::uint8_t b) noexcept { return Symbol{b, true}; }
+
+/// Index of the first control symbol at or after `from`, or symbols.size()
+/// when the rest is all data.
+[[nodiscard]] std::size_t find_next_control(std::span<const Symbol> symbols,
+                                            std::size_t from) noexcept;
+
+/// Appends the data byte of every symbol in `symbols` to `out` (callers pass
+/// a run of data symbols, as found between find_next_control hits).
+void append_data(std::span<const Symbol> symbols,
+                 std::vector<std::uint8_t>& out);
 
 /// "D3" for data 0xD3, "c0C" for control 0x0C — used in traces and captures.
 std::string to_string(Symbol s);

@@ -1,6 +1,5 @@
 #include "myrinet/framing.hpp"
 
-#include <cassert>
 #include <utility>
 
 namespace hsfi::myrinet {
@@ -33,20 +32,15 @@ void Deframer::feed(link::Symbol symbol, sim::SimTime when) {
 }
 
 void Deframer::feed_burst(const link::Burst& burst) {
-  assert(burst.has_view());
-  const std::size_t n = burst.symbols.size();
+  const std::span<const link::Symbol> symbols(burst.symbols);
+  const std::size_t n = symbols.size();
   std::size_t i = 0;
   while (i < n) {
-    const std::size_t c = link::find_next_control(burst, i);
-    if (c > i) {
-      current_.insert(current_.end(),
-                      burst.data.begin() + static_cast<std::ptrdiff_t>(i),
-                      burst.data.begin() + static_cast<std::ptrdiff_t>(c));
-      i = c;
-    }
-    if (i == n) break;
-    feed(burst.symbols[i], burst.arrival(i));
-    ++i;
+    const std::size_t c = link::find_next_control(symbols, i);
+    if (c > i) link::append_data(symbols.subspan(i, c - i), current_);
+    if (c == n) break;
+    feed(symbols[c], burst.arrival(c));
+    i = c + 1;
   }
 }
 

@@ -66,7 +66,7 @@ void Switch::on_burst(std::size_t port, const link::Burst& burst) {
   if (!p.slack->has_probe()) {
     std::size_t i = 0;
     while (i < n) {
-      const std::size_t c = link::find_next_control(burst, i);
+      const std::size_t c = link::find_next_control(burst.symbols, i);
       if (c > i) {
         const std::span<const link::Symbol> run(burst.symbols.data() + i,
                                                 c - i);

@@ -1,11 +1,11 @@
 // Equivalence pins for the word-at-a-time datapath kernels.
 //
-// fc::Crc32::update(span) folds eight bytes per step and Burst::build_view
-// deinterleaves sixteen symbols per step. Both must be bit-identical to the
-// byte- and symbol-at-a-time loops they replaced, which live on here as the
-// reference oracles. The sweeps cover every length and start offset of a
-// word step and every split of an incremental update, so a mistake in the
-// step, the tail, or the hand-off between them shows.
+// fc::Crc32::update(span) folds eight bytes per step; link::find_next_control
+// and link::append_data read sixteen symbols per step. Each must agree with
+// the byte- or symbol-at-a-time loop that lives on here as its reference
+// oracle. The sweeps cover every length and start offset of a word step and
+// every split of an incremental update, so a mistake in the step, the tail
+// (fewer than sixteen symbols), or the hand-off between them shows.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,17 +16,15 @@
 #include <vector>
 
 #include "fc/crc32.hpp"
-#include "link/channel.hpp"
 #include "link/symbol.hpp"
 
 namespace hsfi {
 namespace {
 
-using link::Burst;
 using link::Symbol;
 
 // ---------------------------------------------------------------------------
-// Oracles: the byte-at-a-time CRC-32 and the per-symbol view loop.
+// Oracles: the byte-at-a-time CRC-32 and the per-symbol scans.
 
 constexpr std::array<std::uint32_t, 256> make_reference_crc32_table() {
   std::array<std::uint32_t, 256> table{};
@@ -50,18 +48,17 @@ std::uint32_t reference_crc32(std::span<const std::uint8_t> bytes) {
   return state ^ 0xFFFFFFFFu;
 }
 
-/// The view as the per-symbol loop derived it: zero-filled mask, one bit
-/// OR-ed in per symbol.
-void reference_build_view(const std::vector<Symbol>& symbols,
-                          std::vector<std::uint8_t>& data,
-                          std::vector<std::uint64_t>& ctl) {
-  const std::size_t n = symbols.size();
-  data.resize(n);
-  ctl.assign((n + 63) / 64, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    data[i] = symbols[i].data;
-    ctl[i >> 6] |= static_cast<std::uint64_t>(symbols[i].control) << (i & 63);
+std::size_t reference_find_next_control(std::span<const Symbol> symbols,
+                                        std::size_t from) {
+  for (std::size_t i = from; i < symbols.size(); ++i) {
+    if (symbols[i].control) return i;
   }
+  return symbols.size();
+}
+
+void reference_append_data(std::span<const Symbol> symbols,
+                           std::vector<std::uint8_t>& out) {
+  for (const auto s : symbols) out.push_back(s.data);
 }
 
 std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint32_t seed) {
@@ -106,7 +103,7 @@ TEST(Crc32KernelTest, TwoIncrementalUpdatesMatchAtEverySplit) {
 }
 
 // ---------------------------------------------------------------------------
-// Burst::build_view
+// link::find_next_control and link::append_data
 
 std::vector<Symbol> random_symbols(std::size_t n, std::mt19937& rng) {
   std::vector<Symbol> symbols(n);
@@ -124,67 +121,80 @@ std::vector<Symbol> random_symbols(std::size_t n, std::mt19937& rng) {
   return symbols;
 }
 
-void expect_view_matches_reference(const Burst& burst) {
-  std::vector<std::uint8_t> data;
-  std::vector<std::uint64_t> ctl;
-  reference_build_view(burst.symbols, data, ctl);
-  ASSERT_TRUE(burst.has_view());
-  EXPECT_EQ(burst.data, data);
-  EXPECT_EQ(burst.ctl, ctl);
-}
-
-TEST(BurstViewKernelTest, EveryLengthMatchesPerSymbolLoop) {
-  std::mt19937 rng(4);
+TEST(BurstViewKernelTest, FindNextControlAgreesWithLinearScan) {
+  // Every length 0-200, a single control at each position (and none), from
+  // every start: covers the hit in a 16-symbol step, in the scalar tail,
+  // and before or after `from`.
   for (std::size_t n = 0; n <= 200; ++n) {
-    for (int rep = 0; rep < 4; ++rep) {
-      Burst burst;
-      burst.symbols = random_symbols(n, rng);
-      burst.build_view();
-      SCOPED_TRACE(testing::Message() << "n " << n << " rep " << rep);
-      expect_view_matches_reference(burst);
-      if (HasFailure()) return;
+    std::vector<Symbol> symbols(n, link::data_symbol(0xFF));
+    for (std::size_t at = 0; at <= n; ++at) {
+      if (at < n) symbols[at] = link::control_symbol(0x0C);
+      for (std::size_t from = 0; from <= n + 1; ++from) {
+        ASSERT_EQ(link::find_next_control(symbols, from),
+                  reference_find_next_control(symbols, from))
+            << "n " << n << " control at " << at << " from " << from;
+      }
+      if (at < n) symbols[at] = link::data_symbol(0xFF);
+    }
+  }
+  // Random bursts, stepping hit to hit the way the readers do.
+  std::mt19937 rng(6);
+  for (std::size_t n = 0; n <= 200; ++n) {
+    const auto symbols = random_symbols(n, rng);
+    for (std::size_t from = 0; from <= n; ++from) {
+      ASSERT_EQ(link::find_next_control(symbols, from),
+                reference_find_next_control(symbols, from))
+          << "n " << n << " from " << from;
     }
   }
 }
 
 TEST(BurstViewKernelTest, DirtyScratchLeavesNoControlBitsAboveLength) {
-  // The channel reuses one view scratch across deliveries; a shorter burst
-  // after a longer all-control one must not inherit any of its bits.
-  std::mt19937 rng(5);
-  Burst burst;
+  // The channel reuses one delivery scratch; after a longer all-control
+  // burst, the storage past a shorter burst's length still holds controls.
+  // The 16-symbol steps must not read into it.
+  std::vector<Symbol> scratch;
   for (std::size_t n = 0; n <= 200; ++n) {
     SCOPED_TRACE(testing::Message() << "n " << n);
-    burst.symbols.assign(256, link::control_symbol(0xFF));
-    burst.build_view();
-    burst.symbols.assign(n, link::data_symbol(0xAA));
-    burst.build_view();
-    expect_view_matches_reference(burst);
-    for (const auto word : burst.ctl) EXPECT_EQ(word, 0u);
-    EXPECT_EQ(link::find_next_control(burst, 0), n);
-
-    burst.symbols.assign(256, link::control_symbol(0xFF));
-    burst.build_view();
-    burst.symbols = random_symbols(n, rng);
-    burst.build_view();
-    expect_view_matches_reference(burst);
-    if (n % 64 != 0) {
-      EXPECT_EQ(burst.ctl.back() >> (n % 64), 0u);
+    scratch.assign(256, link::control_symbol(0xFF));
+    scratch.assign(n, link::data_symbol(0xAA));
+    for (std::size_t from = 0; from <= n; ++from) {
+      ASSERT_EQ(link::find_next_control(scratch, from), n);
     }
-    if (HasFailure()) return;
+    std::vector<std::uint8_t> bytes;
+    link::append_data(scratch, bytes);
+    ASSERT_EQ(bytes, std::vector<std::uint8_t>(n, 0xAA));
   }
 }
 
-TEST(BurstViewKernelTest, FindNextControlAgreesWithLinearScan) {
-  std::mt19937 rng(6);
-  for (std::size_t n = 0; n <= 200; ++n) {
-    Burst burst;
-    burst.symbols = random_symbols(n, rng);
-    burst.build_view();
-    std::size_t next = n;
-    for (std::size_t from = n + 1; from-- > 0;) {
-      if (from < n && burst.symbols[from].control) next = from;
-      ASSERT_EQ(link::find_next_control(burst, from), next)
-          << "n " << n << " from " << from;
+TEST(BurstViewKernelTest, EveryLengthMatchesPerSymbolLoop) {
+  // append_data onto an empty vector and onto one that already holds
+  // bytes (with and without spare capacity), at every length 0-200 and
+  // every start offset of a 16-symbol step.
+  std::mt19937 rng(4);
+  const auto symbols = random_symbols(216, rng);
+  const std::span<const Symbol> all(symbols);
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t n = 0; n <= 200; ++n) {
+      const auto run = all.subspan(off, n);
+      SCOPED_TRACE(testing::Message() << "offset " << off << " n " << n);
+
+      std::vector<std::uint8_t> got;
+      std::vector<std::uint8_t> want;
+      link::append_data(run, got);
+      reference_append_data(run, want);
+      ASSERT_EQ(got, want);
+
+      got = std::vector<std::uint8_t>{0x01, 0x02, 0x03};  // no spare capacity
+      want = got;
+      link::append_data(run, got);
+      reference_append_data(run, want);
+      ASSERT_EQ(got, want);
+
+      got.reserve(got.size() + 300);
+      link::append_data(run, got);
+      reference_append_data(run, want);
+      ASSERT_EQ(got, want);
     }
   }
 }

@@ -1,5 +1,5 @@
-// Buffer-reuse regression tests for the symbol pool and the channel's
-// in-flight FIFO.
+// Buffer-reuse regression tests for the channel's in-flight FIFO and its
+// delivery scratch.
 //
 // The contract under test (Burst doc, link/channel.hpp): delivered symbol
 // storage is valid for the duration of on_burst — stable data, correct
@@ -7,9 +7,10 @@
 // allocating. Symbols in flight live in the channel and travel with its
 // captured State, so a restored channel replays them exactly. Under
 // AddressSanitizer the delivery scratch is poisoned between deliveries;
-// SymbolPoolDeathTest.PoisonOnRelease proves the poison is really armed by
-// reading a dangling span and expecting the process to die (the test is
-// skipped in non-ASan builds, where the read is benign reused memory).
+// ChannelScratchDeathTest.PoisonAfterOnBurst proves the poison is really
+// armed by reading a dangling span and expecting the process to die (the
+// test is skipped in non-ASan builds, where the read is benign reused
+// memory).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,7 +21,6 @@
 
 #include "link/channel.hpp"
 #include "link/symbol.hpp"
-#include "link/symbol_pool.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -87,43 +87,6 @@ class LifetimeCheckingSink : public link::SymbolSink {
   std::vector<std::vector<Symbol>> bursts_;
   std::uint64_t checksum_ = 0;
 };
-
-TEST(SymbolPool, AcquireReusesReleasedCapacity) {
-  link::SymbolBufferPool pool;
-  auto buffer = pool.acquire();
-  buffer.resize(64);
-  const Symbol* storage = buffer.data();
-  pool.release(std::move(buffer));
-
-  auto again = pool.acquire();
-  EXPECT_EQ(again.data(), storage) << "released capacity was not reused";
-  EXPECT_TRUE(again.empty()) << "reused buffer must come back empty";
-  EXPECT_GE(again.capacity(), 64u);
-  EXPECT_EQ(pool.acquires(), 2u);
-  EXPECT_EQ(pool.reuses(), 1u);
-}
-
-TEST(SymbolPool, FreelistIsBounded) {
-  link::SymbolBufferPool pool(/*max_free=*/2);
-  std::vector<std::vector<Symbol>> buffers;
-  for (int i = 0; i < 5; ++i) {
-    auto b = pool.acquire();
-    b.resize(16);
-    buffers.push_back(std::move(b));
-  }
-  for (auto& b : buffers) pool.release(std::move(b));
-  // Only max_free buffers were parked; the rest were freed outright.
-  for (int i = 0; i < 5; ++i) (void)pool.acquire();
-  EXPECT_EQ(pool.reuses(), 2u);
-}
-
-TEST(SymbolPool, ZeroCapacityBuffersAreNotParked) {
-  link::SymbolBufferPool pool;
-  pool.release({});
-  auto buffer = pool.acquire();
-  EXPECT_EQ(pool.reuses(), 0u) << "an empty vector is not worth parking";
-  (void)buffer;
-}
 
 TEST(ChannelPool, BurstDataStableForDocumentedLifetime) {
   sim::Simulator simulator;
@@ -256,7 +219,7 @@ class DanglingSink : public link::SymbolSink {
   std::size_t size_ = 0;
 };
 
-TEST(SymbolPoolDeathTest, PoisonOnRelease) {
+TEST(ChannelScratchDeathTest, PoisonAfterOnBurst) {
 #ifndef HSFI_TEST_ASAN
   GTEST_SKIP() << "poison detection needs an AddressSanitizer build";
 #else

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <ostream>
 #include <random>
 #include <set>
 #include <utility>
@@ -194,6 +195,14 @@ struct Scenario {
   SimTime time_span;   ///< timestamps drawn from [now, now + span]
   int cancel_percent;  ///< weight of cancel ops (fires get the remainder)
 };
+
+// gtest prints a parameter without a printer as its raw bytes, padding
+// included, which would put indeterminate bytes into the test names.
+void PrintTo(const Scenario& s, std::ostream* os) {
+  *os << "{seed=" << s.seed << ", ops=" << s.ops
+      << ", time_span=" << s.time_span
+      << ", cancel_percent=" << s.cancel_percent << "}";
+}
 
 class SimQueuePropertyTest : public ::testing::TestWithParam<Scenario> {};
 
